@@ -16,13 +16,12 @@ from .network import (
     serialize,
     validate,
 )
-from .inference import MaxNetwork, MpeResult, TraversalCounts, mpe, to_mpn, traversal_difference
+from .inference import MpeResult, TraversalCounts, mpe, traversal_difference
 from .spatial import Location, Relation, build_pair_gadget, canonical_pair, compute_relations
 
 __all__ = [
     "IndicatorValues",
     "Location",
-    "MaxNetwork",
     "MpeResult",
     "Network",
     "NetworkBuilder",
@@ -42,7 +41,6 @@ __all__ = [
     "normalize_weights",
     "save_network",
     "serialize",
-    "to_mpn",
     "traversal_difference",
     "validate",
 ]

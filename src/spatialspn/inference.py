@@ -1,8 +1,8 @@
 """MPE inference on the max-product view of a network.
 
-Converting to an MPN swaps sum semantics for max; the graph, ids and weights
-are shared with the source network, so weight updates show through. The
-backtrack walks the selected tree top-down, counting how often each edge is
+MPE evaluates the network itself with max in place of sum at every sum
+node, so weight updates show through without any conversion. The backtrack
+walks the selected tree top-down, counting how often each edge is
 traversed; those counts drive the discriminative weight gradient.
 """
 
@@ -28,20 +28,6 @@ from .spatial import Relation
 TIE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class MaxNetwork:
-    """A network reinterpreted with max nodes in place of sum nodes."""
-
-    network: Network
-
-
-def to_mpn(network) -> MaxNetwork:
-    """Reinterpret sum nodes as max nodes; idempotent, shares the graph."""
-    if isinstance(network, MaxNetwork):
-        return network
-    return MaxNetwork(network)
-
-
 @dataclass
 class TraversalCounts:
     """Per-edge traversal counts from one MPE backtrack.
@@ -52,12 +38,6 @@ class TraversalCounts:
 
     network: Network
     counts: np.ndarray
-
-    def get(self, edge: int) -> int:
-        return int(self.counts[edge])
-
-    def as_dict(self) -> dict[int, int]:
-        return {int(e): int(self.counts[e]) for e in np.flatnonzero(self.counts)}
 
 
 def traversal_difference(counts_pos: TraversalCounts, counts_neg: TraversalCounts) -> dict[int, int]:
@@ -129,7 +109,7 @@ def _backtrack(network: Network, log_values: np.ndarray):
     return node_counts, edge_counts
 
 
-def mpe(max_network: MaxNetwork, evidence: IndicatorValues, query=()) -> MpeResult:
+def mpe(network: Network, evidence: IndicatorValues, query=()) -> MpeResult:
     """Bottom-up max evaluation followed by a top-down argmax backtrack.
 
     Query variables must be marginalized in the evidence; the completed
@@ -138,8 +118,6 @@ def mpe(max_network: MaxNetwork, evidence: IndicatorValues, query=()) -> MpeResu
     touches gets the default (positive polarity, no relation set) and is
     listed in `unconstrained`.
     """
-    max_network = to_mpn(max_network)
-    network = max_network.network
     query = list(query)
     _check_query_marginalized(evidence, query)
 

@@ -26,11 +26,12 @@ from .data import Dataset, ImageRecord
 from .errors import (
     ContractViolationError,
     InsufficientDataError,
+    ModelFormatError,
     PruneError,
     TrainingError,
     VocabularyMismatchError,
 )
-from .inference import mpe, to_mpn, traversal_difference
+from .inference import mpe, traversal_difference
 from .network import (
     PRODUCT,
     SUM,
@@ -39,7 +40,7 @@ from .network import (
     evaluate,
     indicators_for_network,
     load_network,
-    renormalize_sums,
+    normalize_weights,
     save_network,
     validate,
 )
@@ -77,7 +78,6 @@ class TrainConfig:
     smoothing: float = 0.1
     prune_threshold: float = 1e-6
     learning_rate: float = 0.02
-    margin: float = 1.0
     max_pairs_per_epoch: int = 2000
     discriminative_epochs: int = 10
     early_stop_patience: int = 3
@@ -119,7 +119,6 @@ def generative_train(network: Network, positives: list[ImageRecord], config: Tra
     """
     if not positives:
         raise InsufficientDataError("generative training needs at least one positive image")
-    mpn = to_mpn(network)
     alpha = config.smoothing
     sums = [i for i, nd in enumerate(network.nodes) if nd.kind == SUM]
     previous = None
@@ -127,7 +126,7 @@ def generative_train(network: Network, positives: list[ImageRecord], config: Tra
         counts = np.zeros(network.num_edges, dtype=np.int64)
         total_log = 0.0
         for image in positives:
-            result = mpe(mpn, indicators_for_network(network, image))
+            result = mpe(network, indicators_for_network(network, image))
             counts += result.traversal.counts
             total_log += result.root_log_value
         mean_log = total_log / len(positives)
@@ -156,77 +155,47 @@ def prune(network: Network, threshold: float) -> Network:
 
     Remaining sum weights are renormalized and the result is revalidated.
     Refuses to act when removal would leave the root childless."""
-    keep_edge = np.ones(network.num_edges, dtype=bool)
-    for edge in range(network.num_edges):
-        parent = int(network.edge_parent[edge])
-        if network.nodes[parent].kind == SUM and network.edge_weight[edge] <= threshold:
-            keep_edge[edge] = False
+    n = network.num_nodes
+    kinds = np.array([nd.kind for nd in network.nodes])
+    is_sum = kinds == SUM
+    internal = is_sum | (kinds == PRODUCT)
+    parent, child = network.edge_parent, network.edge_child
+    keep = ~(is_sum[parent] & (network.edge_weight <= threshold))
 
-    # cascade: drop internal nodes whose children all vanished
-    changed = True
-    while changed:
-        changed = False
-        child_counts = np.zeros(network.num_nodes, dtype=np.int64)
-        for edge in np.flatnonzero(keep_edge):
-            child_counts[network.edge_parent[edge]] += 1
-        for node in range(network.num_nodes):
-            if network.nodes[node].kind not in (SUM, PRODUCT):
-                continue
-            if child_counts[node] == 0:
-                if node == network.root:
-                    raise PruneError(
-                        "pruning would delete the root's last child; lower the threshold"
-                    )
-                incoming = (network.edge_child == node) & keep_edge
-                if incoming.any():
-                    keep_edge[incoming] = False
-                    changed = True
+    # cascade: drop the edges into internal nodes whose children all vanished
+    while True:
+        childless = internal & (np.bincount(parent[keep], minlength=n) == 0)
+        if childless[network.root]:
+            raise PruneError("pruning would delete the root's last child; lower the threshold")
+        drop = keep & childless[child]
+        if not drop.any():
+            break
+        keep &= ~drop
 
     # reachability sweep from the root over surviving edges
-    adj: dict[int, list[int]] = {}
-    for edge in np.flatnonzero(keep_edge):
-        adj.setdefault(int(network.edge_parent[edge]), []).append(int(network.edge_child[edge]))
-    reachable = set()
-    stack = [network.root]
-    while stack:
-        node = stack.pop()
-        if node in reachable:
-            continue
-        reachable.add(node)
-        stack.extend(adj.get(node, ()))
+    reachable = np.zeros(n, dtype=bool)
+    reachable[network.root] = True
+    frontier = reachable.copy()
+    while frontier.any():
+        hit = np.zeros(n, dtype=bool)
+        hit[child[keep & frontier[parent]]] = True
+        frontier = hit & ~reachable
+        reachable |= frontier
 
-    node_map = {}
-    new_nodes = []
-    for node in range(network.num_nodes):
-        if node in reachable:
-            node_map[node] = len(new_nodes)
-            new_nodes.append(network.nodes[node])
-    edge_parent, edge_child, edge_weight = [], [], []
-    for edge in np.flatnonzero(keep_edge):
-        parent, child = int(network.edge_parent[edge]), int(network.edge_child[edge])
-        if parent in reachable and child in reachable:
-            edge_parent.append(node_map[parent])
-            edge_child.append(node_map[child])
-            edge_weight.append(float(network.edge_weight[edge]))
-
+    new_id = np.cumsum(reachable) - 1
+    kept = keep & reachable[parent]
     pruned = Network(
-        nodes=new_nodes,
-        edge_parent=edge_parent,
-        edge_child=edge_child,
-        edge_weight=edge_weight,
-        root=node_map[network.root],
+        nodes=[network.nodes[i] for i in np.flatnonzero(reachable)],
+        edge_parent=new_id[parent[kept]],
+        edge_child=new_id[child[kept]],
+        edge_weight=network.edge_weight[kept],
+        root=new_id[network.root],
         class_label=network.class_label,
         partitions=network.partitions,
-        region_of={node_map[n]: r for n, r in network.region_of.items() if n in reachable},
+        region_of={int(new_id[i]): r for i, r in network.region_of.items() if reachable[i]},
     )
-    for node in range(pruned.num_nodes):
-        if pruned.nodes[node].kind == SUM:
-            edges = pruned.child_edges(node)
-            if len(edges):
-                total = pruned.edge_weight[edges].sum()
-                if total <= 0:
-                    raise PruneError(f"sum node {node} lost all weight mass")
-                pruned.edge_weight[edges] /= total
+    # every surviving sum edge outweighs the threshold, so no sum loses its mass
+    normalize_weights(pruned)
     report = validate(pruned)
     if not report.ok:
         raise PruneError(f"pruned network fails validation: {report}")
@@ -267,9 +236,8 @@ def _margin_update(network: Network, image_pos, image_neg, rate: float,
         # the positive image scores a structural zero; no gradient exists
         return record
 
-    mpn = to_mpn(network)
-    counts_pos = mpe(mpn, ind_pos).traversal
-    counts_neg = mpe(mpn, ind_neg).traversal
+    counts_pos = mpe(network, ind_pos).traversal
+    counts_neg = mpe(network, ind_neg).traversal
     delta = traversal_difference(counts_pos, counts_neg)
     touched = set()
     for edge, dt in delta.items():
@@ -286,7 +254,7 @@ def _margin_update(network: Network, image_pos, image_neg, rate: float,
         network.edge_weight[edge] = max(WEIGHT_FLOOR, network.edge_weight[edge] + step)
         touched.add(parent)
     if touched:
-        renormalize_sums(network, sorted(touched))
+        normalize_weights(network, sorted(touched))
     return record
 
 
@@ -406,7 +374,7 @@ def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config
                 touched_by_class[klass].add(int(network.edge_parent[edge]))
         for klass, nodes in touched_by_class.items():
             if nodes:
-                renormalize_sums(networks[klass], sorted(nodes))
+                normalize_weights(networks[klass], sorted(nodes))
         if update_stats is not None and groups:
             update_stats.setdefault("group_hits", [0] * len(groups))
             for group_idx, hits in enumerate(group_hits):
@@ -455,9 +423,6 @@ class ModelBundle:
     log_lines: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
-    def network_list(self) -> list[Network]:
-        return [self.networks[k] for k in self.classes]
-
 
 def _harmonize_shared_weights(networks: dict[str, Network], classes, groups) -> None:
     """Average each shared group's weights so tied copies start identical."""
@@ -471,7 +436,7 @@ def _harmonize_shared_weights(networks: dict[str, Network], classes, groups) -> 
             touched[klass].add(int(networks[klass].edge_parent[edge]))
     for klass, nodes in touched.items():
         if nodes:
-            renormalize_sums(networks[klass], sorted(nodes))
+            normalize_weights(networks[klass], sorted(nodes))
 
 
 def train_all(dataset: Dataset, structure_config: StructureConfig,
@@ -581,13 +546,13 @@ def load_bundle(path) -> ModelBundle:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "bundle v1":
-        raise VocabularyMismatchError(f"{manifest_path} is not a model bundle manifest")
+        raise ModelFormatError(1, f"{manifest_path} is not a model bundle manifest")
     vocab = 0
     mode = "ihs-spn"
     classes: list[str] = []
     networks: dict[str, Network] = {}
     shared_groups = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if not tokens:
             continue
@@ -602,6 +567,8 @@ def load_bundle(path) -> ModelBundle:
             group = []
             for chunk in tokens[1:]:
                 klass, edge = chunk.rsplit(":", 1)
+                if klass not in classes:
+                    raise ModelFormatError(line_no, f"shared-group names undeclared class {klass!r}")
                 group.append((classes.index(klass), int(edge)))
             shared_groups.append(group)
     return ModelBundle(

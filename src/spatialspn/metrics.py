@@ -106,16 +106,18 @@ def accuracy_with_overrides(bundle: ModelBundle, dataset: Dataset, ablated_pair=
     evidence from the score."""
     from .network import evaluate, indicators_for_network
 
+    overrides = {
+        klass: None if ablated_pair is None
+        else {nid: 1.0 for nid in bundle.networks[klass].spatial_leaves_of(ablated_pair)}
+        for klass in bundle.classes
+    }
     correct = 0
     for record in dataset.records:
         scores = {}
         for klass in bundle.classes:
             network = bundle.networks[klass]
-            overrides = None
-            if ablated_pair is not None:
-                overrides = {nid: 1.0 for nid in network.spatial_leaves_of(ablated_pair)}
             indicators = indicators_for_network(network, record)
-            scores[klass] = evaluate(network, indicators, overrides=overrides).root_log_value
+            scores[klass] = evaluate(network, indicators, overrides=overrides[klass]).root_log_value
         best = max(scores.values())
         predicted = next(k for k in sorted(scores) if scores[k] == best)
         if predicted == record.klass:

@@ -160,14 +160,16 @@ class IndicatorValues:
         return self.pairs.get(pair) == (1.0, 1.0, 1.0, 1.0)
 
 
-def assignment_to_indicators(image, vocabulary_size: int, query_parts=(), pairs=None) -> IndicatorValues:
+def assignment_to_indicators(image, vocabulary_size: int, query_parts=(), pairs=None,
+                             parts=None) -> IndicatorValues:
     """Encode an image's detections as indicator values.
 
     Observed parts become one-hot (absence is evidence, not missingness),
     parts in query_parts get both polarities 1, and spatial indicators are
     computed from detection centers for pairs with both parts present and
-    marginalized otherwise. `pairs` restricts which pair entries are
-    materialized; by default every canonical pair of the vocabulary is filled.
+    neither queried, and marginalized otherwise. `parts` and `pairs` restrict
+    which entries are materialized; by default every part and every canonical
+    pair of the vocabulary is filled.
     """
     query = set(query_parts)
     locations = {}
@@ -181,7 +183,9 @@ def assignment_to_indicators(image, vocabulary_size: int, query_parts=(), pairs=
             locations[det.part] = loc
 
     values = IndicatorValues()
-    for part in range(vocabulary_size):
+    if parts is None:
+        parts = range(vocabulary_size)
+    for part in parts:
         if part in query:
             values.marginalize_part(part)
         else:
@@ -200,23 +204,8 @@ def assignment_to_indicators(image, vocabulary_size: int, query_parts=(), pairs=
 
 def indicators_for_network(network: "Network", image, query_parts=()) -> IndicatorValues:
     """Indicator values covering exactly the leaves of one network."""
-    values = assignment_to_indicators(
-        image,
-        vocabulary_size=0,
-        query_parts=(),
-        pairs=network.pair_universe,
-    )
-    query = set(query_parts)
-    present = {det.part for det in image.detections}
-    for part in network.part_universe:
-        if part in query:
-            values.marginalize_part(part)
-        else:
-            values.set_part(part, part in present)
-    for pair in network.pair_universe:
-        if query and (pair[0] in query or pair[1] in query):
-            values.marginalize_pair(pair)
-    return values
+    return assignment_to_indicators(image, 0, query_parts, pairs=network.pair_universe,
+                                    parts=network.part_universe)
 
 
 class Network:
@@ -239,7 +228,6 @@ class Network:
         shared_edges=None,
         partitions=None,
         region_of=None,
-        format_version=FORMAT_VERSION,
     ):
         self.nodes: list[Node] = list(nodes)
         self.edge_parent = np.asarray(edge_parent, dtype=np.int32)
@@ -250,7 +238,6 @@ class Network:
         self.shared_edges: set[int] = set(shared_edges or ())
         self.partitions = list(partitions or [])
         self.region_of: dict[int, object] = dict(region_of or {})
-        self.format_version = format_version
 
         n = len(self.nodes)
         if not (0 <= self.root < n):
@@ -399,7 +386,6 @@ class Network:
             shared_edges=set(self.shared_edges),
             partitions=list(self.partitions),
             region_of=dict(self.region_of),
-            format_version=self.format_version,
         )
 
 
@@ -658,21 +644,22 @@ def evaluate(network: Network, indicators: IndicatorValues, overrides=None) -> E
     return _forward(network, indicators, overrides, "sum")
 
 
-def max_evaluate(network: Network, indicators: IndicatorValues, overrides=None) -> EvaluationResult:
+def max_evaluate(network: Network, indicators: IndicatorValues) -> EvaluationResult:
     """Evaluation with sum nodes replaced by max nodes."""
-    return _forward(network, indicators, overrides, "max")
+    return _forward(network, indicators, None, "max")
 
 
 # --------------------------------------------------------------------- normalize
 
 
-def sum_node_ids(network: Network):
-    return [i for i, nd in enumerate(network.nodes) if nd.kind == SUM]
+def normalize_weights(network: Network, nodes=None) -> Network:
+    """Scale each sum node's outgoing weights to total 1, in place.
 
-
-def normalize_weights(network: Network) -> Network:
-    """Scale each sum node's outgoing weights to total 1, in place."""
-    for node in sum_node_ids(network):
+    `nodes` limits the pass to the given sum nodes (default: every sum node).
+    Childless sums are skipped; a sum whose weights total zero raises."""
+    if nodes is None:
+        nodes = [i for i, nd in enumerate(network.nodes) if nd.kind == SUM]
+    for node in nodes:
         edges = network.child_edges(node)
         if not len(edges):
             continue
@@ -681,15 +668,6 @@ def normalize_weights(network: Network) -> Network:
             raise DegenerateNodeError(f"sum node {node} has no outgoing weight mass")
         network.edge_weight[edges] /= total
     return network
-
-
-def renormalize_sums(network: Network, nodes) -> None:
-    for node in nodes:
-        edges = network.child_edges(node)
-        total = network.edge_weight[edges].sum()
-        if total <= 0.0:
-            raise DegenerateNodeError(f"sum node {node} has no outgoing weight mass")
-        network.edge_weight[edges] /= total
 
 
 # --------------------------------------------------------------------- serialize
@@ -701,7 +679,7 @@ def _format_rect(rect) -> str:
 
 def serialize(network: Network) -> str:
     """Versioned line-oriented text form; weights keep 17 significant digits."""
-    lines = [f"spn-model v{network.format_version}"]
+    lines = [f"spn-model v{FORMAT_VERSION}"]
     if network.class_label is not None:
         lines.append(f"class {network.class_label}")
     for nid, node in enumerate(network.nodes):
@@ -727,6 +705,13 @@ def serialize(network: Network) -> str:
         children = " | ".join(_format_rect(r) for r in child_rects)
         lines.append(f"partition {_format_rect(parent_rect)} : {children}")
     return "\n".join(lines) + "\n"
+
+
+def _int(token: str, line_no: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ModelFormatError(line_no, f"bad {what} {token!r}") from None
 
 
 def _parse_rect(tokens, line_no):
@@ -773,10 +758,7 @@ def deserialize(text: str | bytes) -> Network:
         elif tag == "node":
             if len(tokens) < 3:
                 raise ModelFormatError(line_no, "node line needs an id and a kind")
-            try:
-                nid = int(tokens[1])
-            except ValueError:
-                raise ModelFormatError(line_no, f"bad node id {tokens[1]!r}") from None
+            nid = _int(tokens[1], line_no, "node id")
             if nid in nodes:
                 raise ModelFormatError(line_no, f"duplicate node id {nid}")
             kind = tokens[2]
@@ -787,13 +769,14 @@ def deserialize(text: str | bytes) -> Network:
             elif kind == PART:
                 if len(tokens) != 5 or tokens[4] not in ("pos", "neg"):
                     raise ModelFormatError(line_no, "part node needs '<id> pos|neg'")
-                nodes[nid] = Node(PART, part=int(tokens[3]), positive=tokens[4] == "pos")
+                nodes[nid] = Node(PART, part=_int(tokens[3], line_no, "part id"),
+                                  positive=tokens[4] == "pos")
             elif kind == SPATIAL:
                 if len(tokens) != 6:
                     raise ModelFormatError(line_no, "spatial node needs '<a> <b> <relation>'")
                 if tokens[5] not in TOKEN_RELATIONS:
                     raise ModelFormatError(line_no, f"unknown relation {tokens[5]!r}")
-                pair = (int(tokens[3]), int(tokens[4]))
+                pair = (_int(tokens[3], line_no, "part id"), _int(tokens[4], line_no, "part id"))
                 if pair != canonical_pair(*pair):
                     raise ModelFormatError(line_no, f"pair {pair} is not canonically ordered")
                 nodes[nid] = Node(SPATIAL, pair=pair, relation=TOKEN_RELATIONS[tokens[5]])
@@ -802,10 +785,8 @@ def deserialize(text: str | bytes) -> Network:
         elif tag == "edge":
             if len(tokens) not in (3, 4):
                 raise ModelFormatError(line_no, "edge line needs parent, child and optional weight")
-            try:
-                parent, child = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ModelFormatError(line_no, "bad edge endpoint") from None
+            parent = _int(tokens[1], line_no, "edge endpoint")
+            child = _int(tokens[2], line_no, "edge endpoint")
             if parent not in nodes or child not in nodes:
                 raise ModelFormatError(line_no, f"edge refers to undeclared node")
             parent_is_sum = nodes[parent].kind == SUM
@@ -828,11 +809,11 @@ def deserialize(text: str | bytes) -> Network:
         elif tag == "root":
             if len(tokens) != 2:
                 raise ModelFormatError(line_no, "root line needs one id")
-            root = int(tokens[1])
+            root = _int(tokens[1], line_no, "root id")
         elif tag == "shared":
             if len(tokens) != 2:
                 raise ModelFormatError(line_no, "shared line needs one edge id")
-            shared.add(int(tokens[1]))
+            shared.add(_int(tokens[1], line_no, "shared edge id"))
         elif tag == "partition":
             body = line[len("partition"):].strip()
             if ":" not in body:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
-from .inference import to_mpn
+from .inference import mpe
 from .network import (
     IndicatorValues,
     Network,
@@ -133,14 +133,12 @@ def brute_force_marginal(network: Network, evidence: IndicatorValues) -> float:
     return total
 
 
-def brute_force_mpe(max_network, evidence: IndicatorValues):
+def brute_force_mpe(network: Network, evidence: IndicatorValues):
     """Exhaustive argmax of max-network evaluation over consistent completions.
 
     Ties resolve to the first completion in enumeration order (parts before
     pairs, states in declaration order), which is lexicographic and stable.
     """
-    max_network = to_mpn(max_network)
-    network = max_network.network
     space = CompletionSpace.consistent_with(network, evidence, enumerate_pairs=True)
     best_value = -math.inf
     best_assignment = None
@@ -152,24 +150,21 @@ def brute_force_mpe(max_network, evidence: IndicatorValues):
     return best_assignment, best_value
 
 
-def finite_difference_gradient(max_network, evidence_pair, edge: int, delta: float | None = None):
+def finite_difference_gradient(network: Network, evidence_pair, edge: int,
+                               delta: float | None = None):
     """Central difference of log M(I_m) - log M(I_n) in one edge weight.
 
     The difference is meaningful only while both selected trees stay fixed;
     if a perturbation flips an argmax the step shrinks by 10x, up to five
     times, after which None is returned (inconclusive, never faked).
     """
-    from .inference import mpe
-
-    max_network = to_mpn(max_network)
-    network = max_network.network
     ev_m, ev_n = evidence_pair
     weight = float(network.edge_weight[edge])
     if delta is None:
         delta = max(weight * 1e-3, 1e-9)
 
     def tree_signature(evidence):
-        result = mpe(max_network, evidence)
+        result = mpe(network, evidence)
         return tuple(np.flatnonzero(result.traversal.counts))
 
     base_m = tree_signature(ev_m)

@@ -187,12 +187,6 @@ def manual_tree(partition: Partition, config: StructureConfig | None = None) -> 
     return PartitionTree(root=root, config=config)
 
 
-def flat_tree(config: StructureConfig | None = None) -> PartitionTree:
-    """The whole image as a single leaf region."""
-    config = config or StructureConfig()
-    return PartitionTree(root=TreeNode(region=Region.whole()), config=config)
-
-
 # ------------------------------------------------------------------ sampling
 
 
@@ -650,11 +644,6 @@ def count_gadgets(network: Network) -> int:
     return count
 
 
-def modeled_pairs(network: Network) -> set[tuple[int, int]]:
-    """Distinct part pairs with at least one gadget in the network."""
-    return set(network.pair_universe)
-
-
 # ------------------------------------------------------------------- sharing
 
 
@@ -663,9 +652,6 @@ class SharedStructure:
     """Edge groups tied across class networks by structural signature."""
 
     groups: list[list[tuple[int, int]]]  # (network index, edge id)
-
-    def edges_of(self, net_idx: int) -> set[int]:
-        return {edge for group in self.groups for idx, edge in group if idx == net_idx}
 
 
 def _node_signatures(network: Network) -> list:

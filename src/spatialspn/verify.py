@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Cluster, FeatureVector, agglomerate, average_link
-from .inference import mpe, to_mpn
+from .inference import mpe
 from .network import SUM, IndicatorValues, evaluate, max_evaluate, validate
 from .oracle import (
     REFERENCE_JOINT_VALUE,
@@ -74,7 +74,7 @@ def run_verification(seed: int = 0, perturb_fixture: bool = False) -> list[Check
     ))
 
     query_ev = IndicatorValues(parts={0: (1.0, 0.0), 1: (1.0, 1.0)})
-    result = mpe(to_mpn(net), query_ev, query=[("part", 1)])
+    result = mpe(net, query_ev, query=[("part", 1)])
     hi, lo = REFERENCE_MPE_BRANCHES
     checks.append(Check(
         "fixture-mpe-value", f"{hi}", f"{result.root_value:.17g}", "1e-12 abs",
@@ -94,7 +94,7 @@ def run_verification(seed: int = 0, perturb_fixture: bool = False) -> list[Check
         "1e-12 abs",
         _close(branch_hi, hi, abs_tol=1e-12) and _close(branch_lo, lo, abs_tol=1e-12),
     ))
-    _, brute_value = brute_force_mpe(to_mpn(net), query_ev)
+    _, brute_value = brute_force_mpe(net, query_ev)
     checks.append(Check(
         "fixture-brute-mpe", f"{hi}", f"{brute_value:.17g}", "1e-12 abs",
         _close(brute_value, hi, abs_tol=1e-12),
@@ -111,8 +111,8 @@ def run_verification(seed: int = 0, perturb_fixture: bool = False) -> list[Check
         slow = brute_force_marginal(rnet, evr)
         scale = max(abs(fast), abs(slow), 1e-300)
         worst_marginal = max(worst_marginal, abs(fast - slow) / scale)
-        res = mpe(to_mpn(rnet), evr)
-        _, best = brute_force_mpe(to_mpn(rnet), evr)
+        res = mpe(rnet, evr)
+        _, best = brute_force_mpe(rnet, evr)
         scale = max(abs(res.root_value), abs(best), 1e-300)
         worst_mpe = max(worst_mpe, abs(res.root_value - best) / scale)
         redo = max_evaluate(rnet, res.assignment).root_value
@@ -129,15 +129,14 @@ def run_verification(seed: int = 0, perturb_fixture: bool = False) -> list[Check
     tested = 0
     for _ in range(5):
         rnet, ev_m, ev_n = gradient_fixture(rng)
-        mpn = to_mpn(rnet)
-        res_m = mpe(mpn, ev_m)
-        res_n = mpe(mpn, ev_n)
+        res_m = mpe(rnet, ev_m)
+        res_n = mpe(rnet, ev_n)
         for edge in range(rnet.num_edges):
             if rnet.nodes[int(rnet.edge_parent[edge])].kind != SUM:
                 continue
             dt = int(res_m.traversal.counts[edge]) - int(res_n.traversal.counts[edge])
             analytic = dt / float(rnet.edge_weight[edge])
-            fd = finite_difference_gradient(mpn, (ev_m, ev_n), edge)
+            fd = finite_difference_gradient(rnet, (ev_m, ev_n), edge)
             if fd is None:
                 continue
             tested += 1

@@ -20,7 +20,7 @@ from spatialspn.data import (
     split_grid_spec,
     strip_grid_spec,
 )
-from spatialspn.inference import mpe, to_mpn
+from spatialspn.inference import mpe
 from spatialspn.learning import TrainConfig, generative_train, save_bundle, train_all
 from spatialspn.metrics import evaluate_bundle
 from spatialspn.network import IndicatorValues, evaluate, max_evaluate
@@ -71,15 +71,14 @@ def test_ac01_reference_joint_value():
 def test_ac02_reference_mpe():
     net = reference_network()
     evidence = IndicatorValues(parts={0: (1.0, 0.0), 1: (1.0, 1.0)})
-    mpn = to_mpn(net)
-    mpe(mpn, evidence, query=[("part", 1)])  # warm-up
+    mpe(net, evidence, query=[("part", 1)])  # warm-up
     start = time.perf_counter()
-    result = mpe(mpn, evidence, query=[("part", 1)])
+    result = mpe(net, evidence, query=[("part", 1)])
     elapsed = time.perf_counter() - start
     inferred_present = result.assignment.parts[1] == (1.0, 0.0)
     hi = max_evaluate(net, IndicatorValues(parts={0: (1.0, 0.0), 1: (1.0, 0.0)})).root_value
     lo = max_evaluate(net, IndicatorValues(parts={0: (1.0, 0.0), 1: (0.0, 1.0)})).root_value
-    _, oracle_value = brute_force_mpe(mpn, evidence)
+    _, oracle_value = brute_force_mpe(net, evidence)
     ok = (
         inferred_present
         and abs(hi - 0.192) <= 1e-12
@@ -121,11 +120,11 @@ def test_ac04_mpe_self_consistency_and_oracle():
         evidence = random_evidence(rng, net)
         query = [("part", p) for p in net.part_universe if evidence.is_part_marginalized(p)]
         query += [("pair", q) for q in net.pair_universe if evidence.is_pair_marginalized(q)]
-        result = mpe(to_mpn(net), evidence, query=query)
+        result = mpe(net, evidence, query=query)
         redo = max_evaluate(net, result.assignment).root_value
         scale = max(abs(result.root_value), abs(redo), 1e-300)
         worst_self = max(worst_self, abs(result.root_value - redo) / scale)
-        _, best = brute_force_mpe(to_mpn(net), evidence)
+        _, best = brute_force_mpe(net, evidence)
         scale = max(abs(result.root_value), abs(best), 1e-300)
         worst_oracle = max(worst_oracle, abs(result.root_value - best) / scale)
     elapsed = time.perf_counter() - start
@@ -279,15 +278,14 @@ def test_ac10_gradient_check():
     while fixtures < 50:
         net, ev_m, ev_n = gradient_fixture(rng)
         fixtures += 1
-        mpn = to_mpn(net)
-        res_m = mpe(mpn, ev_m)
-        res_n = mpe(mpn, ev_n)
+        res_m = mpe(net, ev_m)
+        res_n = mpe(net, ev_n)
         for edge in range(net.num_edges):
             if net.nodes[int(net.edge_parent[edge])].kind != "sum":
                 continue
             dt = int(res_m.traversal.counts[edge]) - int(res_n.traversal.counts[edge])
             analytic = dt / float(net.edge_weight[edge])
-            fd = finite_difference_gradient(mpn, (ev_m, ev_n), edge)
+            fd = finite_difference_gradient(net, (ev_m, ev_n), edge)
             if fd is None:
                 continue  # unstable argmax tree: inconclusive, never faked
             edges_checked += 1

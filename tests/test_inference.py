@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spatialspn.errors import ContractViolationError, TraversalMismatchError
-from spatialspn.inference import MaxNetwork, mpe, to_mpn, traversal_difference
+from spatialspn.inference import mpe, traversal_difference
 from spatialspn.network import (
     IndicatorValues,
     NetworkBuilder,
@@ -17,12 +17,6 @@ from conftest import one_hot
 
 def marginalized_second():
     return IndicatorValues(parts={0: (1.0, 0.0), 1: (1.0, 1.0)})
-
-
-def test_to_mpn_shares_graph_and_is_idempotent(ref_net):
-    mpn = to_mpn(ref_net)
-    assert mpn.network is ref_net
-    assert to_mpn(mpn) is mpn
 
 
 def test_reference_max_value(ref_net):
@@ -43,7 +37,7 @@ def test_no_sum_network_max_equals_sum():
 
 
 def test_mpe_infers_second_part_present(ref_net):
-    result = mpe(to_mpn(ref_net), marginalized_second(), query=[("part", 1)])
+    result = mpe(ref_net, marginalized_second(), query=[("part", 1)])
     assert result.assignment.parts[1] == (1.0, 0.0)
     assert result.root_value == pytest.approx(0.192, abs=1e-12)
     assert not result.unconstrained
@@ -51,21 +45,21 @@ def test_mpe_infers_second_part_present(ref_net):
 
 def test_mpe_with_full_evidence_returns_evidence(ref_net):
     evidence = one_hot(True, False)
-    result = mpe(to_mpn(ref_net), evidence, query=())
+    result = mpe(ref_net, evidence, query=())
     assert result.assignment.parts == evidence.parts
 
 
 def test_mpe_requires_marginalized_query(ref_net):
     with pytest.raises(ContractViolationError):
-        mpe(to_mpn(ref_net), one_hot(True, False), query=[("part", 1)])
+        mpe(ref_net, one_hot(True, False), query=[("part", 1)])
 
 
 def test_mpe_matches_brute_force(rng):
     for _ in range(30):
         net = random_network(rng)
         evidence = random_evidence(rng, net)
-        result = mpe(to_mpn(net), evidence)
-        _, best = brute_force_mpe(to_mpn(net), evidence)
+        result = mpe(net, evidence)
+        _, best = brute_force_mpe(net, evidence)
         assert result.root_value == pytest.approx(best, rel=1e-12, abs=1e-300)
 
 
@@ -76,7 +70,7 @@ def test_mpe_self_consistency(rng):
         evidence = random_evidence(rng, net)
         query = [("part", p) for p in net.part_universe if evidence.is_part_marginalized(p)]
         query += [("pair", q) for q in net.pair_universe if evidence.is_pair_marginalized(q)]
-        result = mpe(to_mpn(net), evidence, query=query)
+        result = mpe(net, evidence, query=query)
         redo = max_evaluate(net, result.assignment).root_value
         assert redo == pytest.approx(result.root_value, rel=1e-12, abs=1e-300)
 
@@ -96,7 +90,7 @@ def test_traversal_counts_conserve_flow(rng):
     for _ in range(20):
         net = random_network(rng)
         evidence = random_evidence(rng, net)
-        result = mpe(to_mpn(net), evidence)
+        result = mpe(net, evidence)
         counts = result.traversal.counts
         node_in = np.zeros(net.num_nodes, dtype=np.int64)
         node_in[net.root] = 1
@@ -111,16 +105,14 @@ def test_traversal_counts_conserve_flow(rng):
 
 def test_traversal_difference_zero_for_identical_trees(ref_net):
     evidence = one_hot(True, False)
-    mpn = to_mpn(ref_net)
-    a = mpe(mpn, evidence).traversal
-    b = mpe(mpn, evidence).traversal
+    a = mpe(ref_net, evidence).traversal
+    b = mpe(ref_net, evidence).traversal
     assert traversal_difference(a, b) == {}
 
 
 def test_traversal_difference_signs(ref_net):
-    mpn = to_mpn(ref_net)
-    pos = mpe(mpn, one_hot(True, True)).traversal
-    neg = mpe(mpn, one_hot(False, False)).traversal
+    pos = mpe(ref_net, one_hot(True, True)).traversal
+    neg = mpe(ref_net, one_hot(False, False)).traversal
     delta = traversal_difference(pos, neg)
     assert delta  # trees differ
     assert any(v == 1 for v in delta.values())
@@ -129,8 +121,8 @@ def test_traversal_difference_signs(ref_net):
 
 def test_traversal_difference_rejects_mismatched_networks(ref_net, rng):
     other = random_network(rng)
-    a = mpe(to_mpn(ref_net), one_hot(True, False)).traversal
-    b = mpe(to_mpn(other), random_evidence(rng, other)).traversal
+    a = mpe(ref_net, one_hot(True, False)).traversal
+    b = mpe(other, random_evidence(rng, other)).traversal
     with pytest.raises(TraversalMismatchError):
         traversal_difference(a, b)
 
@@ -143,7 +135,7 @@ def test_unconstrained_query_flagged():
     b.edge(s, b.part(0, False), 0.3)
     net = b.build(root=s)
     evidence = IndicatorValues(parts={0: (1.0, 0.0), 1: (1.0, 1.0)})
-    result = mpe(to_mpn(net), evidence, query=[("part", 1)])
+    result = mpe(net, evidence, query=[("part", 1)])
     assert ("part", 1) in result.unconstrained
     assert result.assignment.parts[1] == (1.0, 0.0)  # default positive
 
@@ -162,7 +154,7 @@ def test_multi_parent_counts_multiply():
     b.edge(root, top, 1.0)
     net = b.build(root=root)
     evidence = IndicatorValues(parts={0: (1.0, 0.0)})
-    result = mpe(to_mpn(net), evidence)
+    result = mpe(net, evidence)
     # the winning leaf edge is traversed exactly once along the chain
     leaf_edges = [e for e in range(net.num_edges) if net.edge_parent[e] == shared]
     assert result.traversal.counts[leaf_edges].sum() == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spatialspn import cli
 from spatialspn.data import (
     Dataset,
     Detection,
@@ -14,11 +15,12 @@ from spatialspn.data import (
 from spatialspn.errors import (
     ContractViolationError,
     InsufficientDataError,
+    ModelFormatError,
     PruneError,
     TrainingError,
     VocabularyMismatchError,
 )
-from spatialspn.inference import mpe, to_mpn
+from spatialspn.inference import mpe
 from spatialspn.learning import (
     ModelBundle,
     TrainConfig,
@@ -32,12 +34,15 @@ from spatialspn.learning import (
     train_all,
 )
 from spatialspn.network import (
+    Network,
     NetworkBuilder,
     evaluate,
     indicators_for_network,
+    normalize_weights,
     serialize,
     validate,
 )
+from spatialspn.oracle import random_evidence, random_network
 from spatialspn.spatial import Relation, build_pair_gadget
 from spatialspn.structure import StructureConfig
 
@@ -110,13 +115,12 @@ def test_generative_mean_log_value_non_decreasing():
     # pure hard-EM (no smoothing) must ascend the max-product objective
     records = left_pair_records(30, seed=3)
     net = build_pair_gadget((0, 1))
-    mpn = to_mpn(net)
     config = TrainConfig(generative_epochs=1, smoothing=0.0)
     means = []
     for _ in range(6):
         generative_train(net, records, config)
         total = sum(
-            mpe(mpn, indicators_for_network(net, r)).root_log_value for r in records
+            mpe(net, indicators_for_network(net, r)).root_log_value for r in records
         )
         means.append(total / len(records))
     for before, after in zip(means, means[1:]):
@@ -173,6 +177,97 @@ def test_prune_refuses_to_orphan_root():
         prune(net, 1e-6)
 
 
+def loop_prune(network, threshold):
+    """Edge-by-edge reference for `prune`: the same removal, cascade,
+    reachability sweep and renumbering, one node and edge at a time."""
+    kind = [nd.kind for nd in network.nodes]
+    keep = [not (kind[p] == "sum" and w <= threshold)
+            for p, w in zip(network.edge_parent, network.edge_weight)]
+    changed = True
+    while changed:
+        changed = False
+        for node in range(network.num_nodes):
+            if kind[node] not in ("sum", "product"):
+                continue
+            if not any(k and p == node for k, p in zip(keep, network.edge_parent)):
+                if node == network.root:
+                    raise PruneError("root lost its last child")
+                for edge, c in enumerate(network.edge_child):
+                    if keep[edge] and c == node:
+                        keep[edge] = False
+                        changed = True
+    reachable, stack = set(), [network.root]
+    while stack:
+        node = stack.pop()
+        if node not in reachable:
+            reachable.add(node)
+            stack.extend(int(c) for k, p, c in zip(keep, network.edge_parent, network.edge_child)
+                         if k and p == node)
+    new_id = {node: i for i, node in enumerate(sorted(reachable))}
+    edges = [e for e in range(network.num_edges) if keep[e] and network.edge_parent[e] in reachable]
+    pruned = Network(
+        nodes=[network.nodes[n] for n in sorted(reachable)],
+        edge_parent=[new_id[int(network.edge_parent[e])] for e in edges],
+        edge_child=[new_id[int(network.edge_child[e])] for e in edges],
+        edge_weight=[float(network.edge_weight[e]) for e in edges],
+        root=new_id[network.root],
+        partitions=network.partitions,
+        region_of={new_id[n]: r for n, r in network.region_of.items() if n in reachable},
+    )
+    for node in range(pruned.num_nodes):
+        edges = pruned.child_edges(node)
+        if pruned.nodes[node].kind == "sum" and len(edges):
+            pruned.edge_weight[edges] /= pruned.edge_weight[edges].sum()
+    if not validate(pruned).ok:
+        raise PruneError("pruned network fails validation")
+    return pruned
+
+
+def test_prune_keeps_root_value_and_drops_every_light_edge(rng):
+    threshold = 1e-6
+    for _ in range(20):
+        net = random_network(rng, max_parts=5, max_pairs=2)
+        for node in range(net.num_nodes):
+            edges = net.child_edges(node)
+            if net.nodes[node].kind == "sum" and len(edges) > 1:
+                zero = rng.random(len(edges)) < 0.5
+                zero[int(rng.integers(len(edges)))] = False  # a strict subset
+                net.edge_weight[edges[zero]] = 0.0
+        normalize_weights(net)
+        net.region_of = {node: f"r{node}" for node in range(net.num_nodes)}
+        pruned = prune(net, threshold)
+        sum_edges = [e for e in range(pruned.num_edges)
+                     if pruned.nodes[int(pruned.edge_parent[e])].kind == "sum"]
+        assert all(pruned.edge_weight[e] > threshold for e in sum_edges)
+        assert validate(pruned).ok
+        evidence = random_evidence(rng, net)
+        before = evaluate(net, evidence).root_log_value
+        assert evaluate(pruned, evidence).root_log_value == pytest.approx(before, rel=1e-12)
+        reference = loop_prune(net, threshold)
+        assert serialize(pruned) == serialize(reference)
+        assert pruned.region_of == reference.region_of
+
+
+def test_prune_matches_loop_reference_when_it_cuts_live_edges(rng):
+    # thresholds above the smallest random weights cut real mass and cascade
+    compared = 0
+    for threshold in (0.05, 0.2, 0.4):
+        for _ in range(15):
+            net = random_network(rng, max_parts=5, max_pairs=2)
+            net.region_of = {node: node % 3 for node in range(net.num_nodes)}
+            try:
+                reference = loop_prune(net, threshold)
+            except PruneError:
+                with pytest.raises(PruneError):
+                    prune(net, threshold)
+                continue
+            pruned = prune(net, threshold)
+            assert serialize(pruned) == serialize(reference)
+            assert pruned.region_of == reference.region_of
+            compared += pruned.num_edges < net.num_edges
+    assert compared >= 5
+
+
 # ----------------------------------------------------------- margin updates
 
 
@@ -206,9 +301,8 @@ def test_identical_images_leave_weights_unchanged():
 def test_single_sided_edge_weight_increases():
     net = mixture_network()
     pos, neg = im([0]), im([], klass="d")
-    mpn = to_mpn(net)
-    res_p = mpe(mpn, indicators_for_network(net, pos))
-    res_n = mpe(mpn, indicators_for_network(net, neg))
+    res_p = mpe(net, indicators_for_network(net, pos))
+    res_n = mpe(net, indicators_for_network(net, neg))
     delta = res_p.traversal.counts - res_n.traversal.counts
     increased = [e for e in np.flatnonzero(delta > 0)
                  if net.nodes[int(net.edge_parent[e])].kind == "sum"]
@@ -321,6 +415,23 @@ def test_bundle_round_trip(tmp_path):
     assert back.vocabulary_size == bundle.vocabulary_size
     for klass in bundle.classes:
         assert serialize(back.networks[klass]) == serialize(bundle.networks[klass])
+
+
+def test_load_bundle_rejects_foreign_manifest(tmp_path):
+    (tmp_path / "manifest").write_text("spn-model v1\n")
+    with pytest.raises(ModelFormatError) as info:
+        load_bundle(tmp_path)
+    assert info.value.line_no == 1
+    assert cli.main(["inspect", str(tmp_path)]) == cli.EXIT_INPUT
+
+
+def test_load_bundle_rejects_shared_group_of_undeclared_class(tmp_path):
+    (tmp_path / "manifest").write_text(
+        "bundle v1\nt 2\nmode jhs-spn\nclasses 0\nshared-group ghost:0\n"
+    )
+    with pytest.raises(ModelFormatError) as info:
+        load_bundle(tmp_path)
+    assert info.value.line_no == 5
 
 
 def test_classify_rejects_unknown_parts():

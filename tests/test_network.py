@@ -313,6 +313,18 @@ def test_truncated_file_rejected(ref_net):
         deserialize("\n".join(lines))
 
 
+@pytest.mark.parametrize("line", [
+    "node 0 part x pos",
+    "node 1 spatial a 1 left",
+    "root zero",
+    "shared q",
+])
+def test_non_integer_field_is_a_typed_error(line):
+    with pytest.raises(ModelFormatError) as info:
+        deserialize(f"spn-model v1\n{line}\n")
+    assert info.value.line_no == 2
+
+
 def test_builder_rejects_bad_weights():
     b = NetworkBuilder()
     s = b.sum()

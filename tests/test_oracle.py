@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spatialspn.errors import SizeGuardError
-from spatialspn.inference import mpe, to_mpn
+from spatialspn.inference import mpe
 from spatialspn.network import IndicatorValues, Network, evaluate
 from spatialspn.oracle import (
     PAIR_STATES,
@@ -41,14 +41,14 @@ def test_pair_states_are_the_nine_realizable_ones():
 
 def test_reference_mpe_value_and_assignment(ref_net):
     evidence = IndicatorValues(parts={0: (1.0, 0.0), 1: (1.0, 1.0)})
-    assignment, value = brute_force_mpe(to_mpn(ref_net), evidence)
+    assignment, value = brute_force_mpe(ref_net, evidence)
     assert value == pytest.approx(0.192, abs=1e-12)
     assert assignment.parts[1] == (1.0, 0.0)
 
 
 def test_fully_specified_evidence_is_returned(ref_net):
     evidence = one_hot(False, True)
-    assignment, value = brute_force_mpe(to_mpn(ref_net), evidence)
+    assignment, value = brute_force_mpe(ref_net, evidence)
     assert assignment.parts == evidence.parts
     assert value == pytest.approx(
         max(0.8 * 0.7 * 0.8, 0.2 * 0.6 * 0.1), abs=1e-12
@@ -107,9 +107,8 @@ def test_completion_space_size(ref_net):
 
 def test_edge_outside_both_trees_has_zero_gradient(rng):
     net, ev_m, ev_n = gradient_fixture(rng)
-    mpn = to_mpn(net)
-    res_m = mpe(mpn, ev_m)
-    res_n = mpe(mpn, ev_n)
+    res_m = mpe(net, ev_m)
+    res_n = mpe(net, ev_n)
     outside = [
         e
         for e in range(net.num_edges)
@@ -118,7 +117,7 @@ def test_edge_outside_both_trees_has_zero_gradient(rng):
         and res_n.traversal.counts[e] == 0
     ]
     assert outside, "fixture should have untraversed sum edges"
-    fd = finite_difference_gradient(mpn, (ev_m, ev_n), outside[0])
+    fd = finite_difference_gradient(net, (ev_m, ev_n), outside[0])
     assert fd == pytest.approx(0.0, abs=1e-8)
 
 
@@ -133,9 +132,8 @@ def test_single_sided_edge_gradient_is_one_over_weight():
     net = b.build(root=s)
     ev_m = IndicatorValues(parts={0: (1.0, 0.0)})
     ev_n = IndicatorValues(parts={0: (0.0, 1.0)})
-    mpn = to_mpn(net)
     edge_pos = int(net.child_edges(s)[0])
-    fd = finite_difference_gradient(mpn, (ev_m, ev_n), edge_pos)
+    fd = finite_difference_gradient(net, (ev_m, ev_n), edge_pos)
     assert fd == pytest.approx(2.0, rel=1e-4)
 
 
@@ -143,15 +141,14 @@ def test_gradients_match_fd_on_random_fixtures(rng):
     checked = 0
     for _ in range(10):
         net, ev_m, ev_n = gradient_fixture(rng)
-        mpn = to_mpn(net)
-        res_m = mpe(mpn, ev_m)
-        res_n = mpe(mpn, ev_n)
+        res_m = mpe(net, ev_m)
+        res_n = mpe(net, ev_n)
         for edge in range(net.num_edges):
             if net.nodes[int(net.edge_parent[edge])].kind != "sum":
                 continue
             dt = int(res_m.traversal.counts[edge]) - int(res_n.traversal.counts[edge])
             analytic = dt / float(net.edge_weight[edge])
-            fd = finite_difference_gradient(mpn, (ev_m, ev_n), edge)
+            fd = finite_difference_gradient(net, (ev_m, ev_n), edge)
             if fd is None:
                 continue
             checked += 1
@@ -164,6 +161,6 @@ def test_fd_leaves_weights_untouched(rng):
     before = net.edge_weight.copy()
     for edge in range(min(net.num_edges, 5)):
         if net.nodes[int(net.edge_parent[edge])].kind == "sum":
-            finite_difference_gradient(to_mpn(net), (ev_m, ev_n), edge)
+            finite_difference_gradient(net, (ev_m, ev_n), edge)
     mask = ~np.isnan(before)
     assert np.array_equal(net.edge_weight[mask], before[mask])
