@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ContractViolationError, DataFormatError, InsufficientDataError
 
 FEATURE_HEADER = "feat v1"
+# rows per difference tensor in distance computations; bounds peak memory
+DISTANCE_BLOCK = 64
 
 
 @dataclass
@@ -83,6 +85,16 @@ def average_link(c1: Cluster, c2: Cluster, points: dict[str, np.ndarray] | None 
     return total / (len(c1.members) * len(c2.members))
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b; the
+    difference tensor is built DISTANCE_BLOCK rows of a at a time."""
+    out = np.empty((len(a), len(b)))
+    for lo in range(0, len(a), DISTANCE_BLOCK):
+        diffs = a[lo:lo + DISTANCE_BLOCK, None, :] - b[None, :, :]
+        out[lo:lo + DISTANCE_BLOCK] = np.square(diffs, out=diffs).sum(axis=2)
+    return out
+
+
 def _kmeans(data: np.ndarray, k: int, rng, iters: int = 100, tol: float = 1e-6):
     """Seeded farthest-point k-means; deterministic given the rng state."""
     n = len(data)
@@ -97,7 +109,7 @@ def _kmeans(data: np.ndarray, k: int, rng, iters: int = 100, tol: float = 1e-6):
     prev_inertia = None
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
-        d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(data, centers)
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), labels].sum())
         for j in range(k):
@@ -148,10 +160,8 @@ def agglomerate(features: list[FeatureVector], k_init: int, n_centers: int,
         link = np.zeros((k, k))
         for i in range(k):
             for j in range(i + 1, k):
-                diffs = data[np.asarray(groups[i])][:, None, :] - data[np.asarray(groups[j])][None, :, :]
-                link[i, j] = link[j, i] = float(
-                    np.sqrt((diffs ** 2).sum(axis=2)).sum() / (sizes[i] * sizes[j])
-                )
+                d2 = _squared_distances(data[groups[i]], data[groups[j]])
+                link[i, j] = link[j, i] = float(np.sqrt(d2).sum() / (sizes[i] * sizes[j]))
         return link
 
     link = avg_link_matrix(members)

@@ -14,16 +14,13 @@ import numpy as np
 
 from .errors import ContractViolationError, TraversalMismatchError
 from .network import (
-    PART,
     PRODUCT,
-    SPATIAL,
     SUM,
     EvaluationResult,
     IndicatorValues,
     Network,
     max_evaluate,
 )
-from .spatial import Relation
 
 TIE_TOLERANCE = 1e-12
 
@@ -124,43 +121,31 @@ def mpe(network: Network, evidence: IndicatorValues, query=()) -> MpeResult:
     result = max_evaluate(network, evidence)
     node_counts, edge_counts = _backtrack(network, result.log_values)
 
-    part_hits: dict[int, dict[bool, int]] = {}
-    pair_hits: dict[tuple, dict[Relation, int]] = {}
-    for nid in network.leaf_ids():
-        count = int(node_counts[nid])
-        if count == 0:
-            continue
-        nd = network.nodes[nid]
-        if nd.kind == PART:
-            part_hits.setdefault(nd.part, {}).setdefault(nd.positive, 0)
-            part_hits[nd.part][nd.positive] += count
-        elif nd.kind == SPATIAL:
-            pair_hits.setdefault(nd.pair, {}).setdefault(nd.relation, 0)
-            pair_hits[nd.pair][nd.relation] += count
-
     assignment = evidence.copy()
     unconstrained = set()
+    if query:
+        table = network._leaf_slots()
+        # zero slots past the end stand in for variables the network lacks
+        hits = np.zeros(table.size + 4, dtype=np.int64)
+        np.add.at(hits, table.slots, node_counts[table.leaves])
     for var in query:
         kind, key = var
+        base = table.base.get(var, table.size)
+        # the polarity or relation reached most often wins; ties go to the
+        # positive polarity or the lowest relation
         if kind == "part":
-            hits = part_hits.get(key)
-            if not hits:
-                assignment.set_part(key, True)
+            positive, negative = hits[base:base + 2]
+            if positive == negative == 0:
                 unconstrained.add(var)
-            else:
-                # prefer the polarity reached most often; positive on ties
-                positive = hits.get(True, 0) >= hits.get(False, 0)
-                assignment.set_part(key, positive)
+            assignment.set_part(key, bool(positive >= negative))
         else:
-            hits = pair_hits.get(key)
-            if not hits:
-                assignment.set_pair(key, (0.0, 0.0, 0.0, 0.0))
-                unconstrained.add(var)
+            counts = hits[base:base + 4]
+            values = [0.0, 0.0, 0.0, 0.0]
+            if counts.any():
+                values[int(np.argmax(counts))] = 1.0
             else:
-                best = max(hits.items(), key=lambda kv: (kv[1], -int(kv[0])))[0]
-                values = [0.0, 0.0, 0.0, 0.0]
-                values[int(best)] = 1.0
-                assignment.set_pair(key, values)
+                unconstrained.add(var)
+            assignment.set_pair(key, values)
 
     return MpeResult(
         assignment=assignment,

@@ -37,6 +37,7 @@ from .network import (
     SUM,
     WEIGHT_FLOOR,
     Network,
+    _int,
     evaluate,
     indicators_for_network,
     load_network,
@@ -277,14 +278,15 @@ def _split_fit_dev(records, rng):
 
 
 def _mean_dev_margin(network: Network, dev_pos, dev_neg) -> float:
+    def score(image):
+        return evaluate(network, indicators_for_network(network, image)).root_log_value
+
+    negative_scores = [score(image) for image in dev_neg]
     total = 0.0
     n = 0
     for image_pos in dev_pos:
-        ind_pos = indicators_for_network(network, image_pos)
-        vp = evaluate(network, ind_pos).root_log_value
-        for image_neg in dev_neg:
-            ind_neg = indicators_for_network(network, image_neg)
-            vn = evaluate(network, ind_neg).root_log_value
+        vp = score(image_pos)
+        for vn in negative_scores:
             total += _hinge_slack(vp, vn)
             n += 1
     return total / max(n, 1)
@@ -557,7 +559,7 @@ def load_bundle(path) -> ModelBundle:
         if not tokens:
             continue
         if tokens[0] == "t":
-            vocab = int(tokens[1])
+            vocab = _int(" ".join(tokens[1:]), line_no, "vocabulary size")
         elif tokens[0] == "mode":
             mode = tokens[1]
         elif tokens[0] == "class" and len(tokens) == 3:
@@ -566,10 +568,18 @@ def load_bundle(path) -> ModelBundle:
         elif tokens[0] == "shared-group":
             group = []
             for chunk in tokens[1:]:
-                klass, edge = chunk.rsplit(":", 1)
+                klass, colon, edge_token = chunk.rpartition(":")
+                if not colon:
+                    raise ModelFormatError(line_no, f"shared-group member {chunk!r} is not 'class:edge'")
                 if klass not in classes:
                     raise ModelFormatError(line_no, f"shared-group names undeclared class {klass!r}")
-                group.append((classes.index(klass), int(edge)))
+                edge = _int(edge_token, line_no, "shared edge id")
+                if not 0 <= edge < networks[klass].num_edges:
+                    raise ModelFormatError(line_no, f"shared edge {edge} out of range for class {klass!r}")
+                group.append((classes.index(klass), edge))
+            weights = [float(networks[classes[idx]].edge_weight[edge]) for idx, edge in group]
+            if any(not math.isclose(w, weights[0], rel_tol=1e-9) for w in weights):
+                raise ModelFormatError(line_no, f"tied shared-group weights differ: {weights}")
             shared_groups.append(group)
     return ModelBundle(
         vocabulary_size=vocab,

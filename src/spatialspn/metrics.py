@@ -99,25 +99,22 @@ def evaluate_bundle(bundle: ModelBundle, dataset: Dataset) -> EvalReport:
 
 
 def accuracy_with_overrides(bundle: ModelBundle, dataset: Dataset, ablated_pair=None) -> float:
-    """Argmax accuracy with one part pair's relation indicators forced to 1.
+    """Argmax accuracy with one part pair marginalized in every image's evidence.
 
-    Marginalizing the pair's spatial leaves (rather than deleting its
+    Setting the pair's relation indicators to 1 (rather than deleting its
     gadgets) keeps every network valid while removing the pair's geometric
     evidence from the score."""
     from .network import evaluate, indicators_for_network
 
-    overrides = {
-        klass: None if ablated_pair is None
-        else {nid: 1.0 for nid in bundle.networks[klass].spatial_leaves_of(ablated_pair)}
-        for klass in bundle.classes
-    }
     correct = 0
     for record in dataset.records:
         scores = {}
         for klass in bundle.classes:
             network = bundle.networks[klass]
             indicators = indicators_for_network(network, record)
-            scores[klass] = evaluate(network, indicators, overrides=overrides[klass]).root_log_value
+            if ablated_pair is not None:
+                indicators.marginalize_pair(ablated_pair)
+            scores[klass] = evaluate(network, indicators).root_log_value
         best = max(scores.values())
         predicted = next(k for k in sorted(scores) if scores[k] == best)
         if predicted == record.klass:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -99,6 +100,22 @@ class ValidityReport:
         return "; ".join(f"{v.kind}: {v.message}" for v in self.violations)
 
 
+@dataclass(frozen=True)
+class LeafSlots:
+    """Where every leaf of a network reads its value in the evidence vector.
+
+    The vector holds (x, x_bar) for each part of `parts`, then (left, right,
+    above, below) for each pair of `pairs`, then the constant 1.0 of the
+    "one" leaf. `base` maps each variable to its first slot."""
+
+    parts: list[int]
+    pairs: list[tuple[int, int]]
+    base: dict
+    size: int
+    leaves: np.ndarray
+    slots: np.ndarray
+
+
 class IndicatorValues:
     """Values in [0, 1] for every leaf indicator a network may look up.
 
@@ -129,29 +146,6 @@ class IndicatorValues:
 
     def marginalize_pair(self, pair) -> None:
         self.pairs[canonical_pair(*pair)] = (1.0, 1.0, 1.0, 1.0)
-
-    def part_value(self, part: int, positive: bool) -> float:
-        try:
-            entry = self.parts[part]
-        except KeyError:
-            raise IncompleteEvidenceError(f"no indicator value for part {part}") from None
-        return entry[0] if positive else entry[1]
-
-    def pair_value(self, pair, relation: Relation) -> float:
-        try:
-            entry = self.pairs[pair]
-        except KeyError:
-            raise IncompleteEvidenceError(f"no indicator values for pair {pair}") from None
-        return entry[int(relation)]
-
-    def leaf_value(self, node: Node) -> float:
-        if node.kind == PART:
-            return self.part_value(node.part, node.positive)
-        if node.kind == SPATIAL:
-            return self.pair_value(node.pair, node.relation)
-        if node.kind == ONE:
-            return 1.0
-        raise ValueError(f"node kind {node.kind} is not a leaf")
 
     def is_part_marginalized(self, part: int) -> bool:
         return self.parts.get(part) == (1.0, 1.0)
@@ -245,7 +239,7 @@ class Network:
         self._build_child_index()
         self._topo = None
         self._plan = None
-        self._universe = None
+        self._leaf_table = None
 
     # ------------------------------------------------------------------ basics
 
@@ -277,34 +271,43 @@ class Network:
     def is_leaf(self, node: int) -> bool:
         return self.nodes[node].kind in LEAF_KINDS
 
-    def leaf_ids(self):
-        return [i for i, nd in enumerate(self.nodes) if nd.kind in LEAF_KINDS]
-
     @property
     def part_universe(self) -> list[int]:
-        self._collect_universe()
-        return self._universe[0]
+        return self._leaf_slots().parts
 
     @property
     def pair_universe(self) -> list[tuple[int, int]]:
-        self._collect_universe()
-        return self._universe[1]
-
-    def _collect_universe(self):
-        if self._universe is None:
-            parts = sorted({nd.part for nd in self.nodes if nd.kind == PART})
-            pairs = sorted({nd.pair for nd in self.nodes if nd.kind == SPATIAL})
-            self._universe = (parts, pairs)
-
-    def spatial_leaves_of(self, pair) -> list[int]:
-        pair = canonical_pair(*pair)
-        return [i for i, nd in enumerate(self.nodes) if nd.kind == SPATIAL and nd.pair == pair]
+        return self._leaf_slots().pairs
 
     def variables(self):
         """All variables in the network, parts before pairs, sorted."""
         return [part_var(p) for p in self.part_universe] + [pair_var(q) for q in self.pair_universe]
 
     # -------------------------------------------------------------- topo / plan
+
+    def _leaf_slots(self) -> "LeafSlots":
+        """Each leaf's slot in the flat evidence vector, compiled once."""
+        if self._leaf_table is not None:
+            return self._leaf_table
+        parts = sorted({nd.part for nd in self.nodes if nd.kind == PART})
+        pairs = sorted({nd.pair for nd in self.nodes if nd.kind == SPATIAL})
+        base = {part_var(p): 2 * i for i, p in enumerate(parts)}
+        base.update({pair_var(q): 2 * len(parts) + 4 * j for j, q in enumerate(pairs)})
+        size = 2 * len(parts) + 4 * len(pairs) + 1
+        leaves, slots = [], []
+        for nid, nd in enumerate(self.nodes):
+            if nd.kind == PART:
+                slots.append(base[part_var(nd.part)] + (0 if nd.positive else 1))
+            elif nd.kind == SPATIAL:
+                slots.append(base[pair_var(nd.pair)] + int(nd.relation))
+            elif nd.kind == ONE:
+                slots.append(size - 1)
+            else:
+                continue
+            leaves.append(nid)
+        self._leaf_table = LeafSlots(parts, pairs, base, size,
+                                 np.asarray(leaves, dtype=np.int64), np.asarray(slots, dtype=np.int64))
+        return self._leaf_table
 
     def topological_order(self) -> np.ndarray:
         """Node ids ordered children-first. Raises CycleError on cycles."""
@@ -587,18 +590,30 @@ class EvaluationResult:
         return np.exp(self.log_values)
 
 
-def _leaf_log_values(network: Network, indicators: IndicatorValues, overrides=None) -> np.ndarray:
+def _leaf_log_values(network: Network, indicators: IndicatorValues) -> np.ndarray:
+    table = network._leaf_slots()
+    try:
+        rows = [indicators.parts[p] for p in table.parts]
+    except KeyError as exc:
+        raise IncompleteEvidenceError(f"no indicator value for part {exc.args[0]}") from None
+    try:
+        rows += [indicators.pairs[q] for q in table.pairs]
+    except KeyError as exc:
+        raise IncompleteEvidenceError(f"no indicator values for pair {exc.args[0]}") from None
+    rows.append((1.0,))
+    evidence = np.fromiter(chain.from_iterable(rows), dtype=np.float64)
+    if len(evidence) != table.size:
+        raise IncompleteEvidenceError("indicator entries must hold 2 values per part, 4 per pair")
+    values = evidence[table.slots]
+    bad = ~((values >= 0.0) & (values <= 1.0 + 1e-12))  # NaN fails both tests
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise IncompleteEvidenceError(
+            f"indicator value for node {table.leaves[first]} must lie in [0, 1], got {values[first]}"
+        )
     logv = np.zeros(network.num_nodes, dtype=np.float64)
-    for nid in network.leaf_ids():
-        if overrides is not None and nid in overrides:
-            value = overrides[nid]
-        else:
-            value = indicators.leaf_value(network.nodes[nid])
-        if not (0.0 <= value <= 1.0 + 1e-12) or not math.isfinite(value):
-            raise IncompleteEvidenceError(
-                f"indicator value for node {nid} must lie in [0, 1], got {value}"
-            )
-        logv[nid] = math.log(value) if value > 0.0 else NEG_INF
+    with np.errstate(divide="ignore"):
+        logv[table.leaves] = np.log(values)
     return logv
 
 
@@ -621,8 +636,8 @@ def _segment_values(scores: np.ndarray, seg_starts: np.ndarray, mode: str) -> np
     return out
 
 
-def _forward(network: Network, indicators, overrides, mode: str) -> EvaluationResult:
-    logv = _leaf_log_values(network, indicators, overrides)
+def _forward(network: Network, indicators, mode: str) -> EvaluationResult:
+    logv = _leaf_log_values(network, indicators)
     with np.errstate(divide="ignore"):
         logw = np.log(network.edge_weight)
     for groups in network._evaluation_plan():
@@ -636,17 +651,14 @@ def _forward(network: Network, indicators, overrides, mode: str) -> EvaluationRe
     return EvaluationResult(network, logv)
 
 
-def evaluate(network: Network, indicators: IndicatorValues, overrides=None) -> EvaluationResult:
-    """Exact topological evaluation; sum nodes mix, product nodes factor.
-
-    `overrides` optionally forces the value of specific leaf nodes by id
-    (used by the inspection ablation sweep)."""
-    return _forward(network, indicators, overrides, "sum")
+def evaluate(network: Network, indicators: IndicatorValues) -> EvaluationResult:
+    """Exact topological evaluation; sum nodes mix, product nodes factor."""
+    return _forward(network, indicators, "sum")
 
 
 def max_evaluate(network: Network, indicators: IndicatorValues) -> EvaluationResult:
     """Evaluation with sum nodes replaced by max nodes."""
-    return _forward(network, indicators, None, "max")
+    return _forward(network, indicators, "max")
 
 
 # --------------------------------------------------------------------- normalize

@@ -463,8 +463,6 @@ class _ClassNetBuilder:
         self.b = builder
         self._marginals: dict[int, int] = {}
         self._pair_marginals: dict[tuple[int, int], int] = {}
-        self.gadget_count = 0
-        self.empty_leaves = 0
 
     def part_marginal(self, part: int) -> int:
         """Shared trainable mixture over the two polarities of one part."""
@@ -505,7 +503,6 @@ class _ClassNetBuilder:
         region = node.region
         rect = region.rect()
         if not node.parts and not node.pairs:
-            self.empty_leaves += 1
             log.info("leaf region %s models no variables; using a constant-1 leaf", rect)
             top = self.b.sum(annotation=rect)
             self.b.edge(top, self.b.one(), 1.0)
@@ -517,7 +514,6 @@ class _ClassNetBuilder:
         children = []
         for pair in node.pairs:
             gadget = add_gadget(self.b, pair, annotation=rect)
-            self.gadget_count += 1
             children.append(
                 self.completed_product(gadget, (set(pair), {pair}), node.parts, node.pairs, rect)
             )
@@ -553,7 +549,6 @@ class _ClassNetBuilder:
     def internal(self, node: TreeNode) -> int:
         rect = node.region.rect()
         if not node.parts and not node.pairs:
-            self.empty_leaves += 1
             top = self.b.sum(annotation=rect)
             self.b.edge(top, self.b.one(), 1.0)
             return top
@@ -597,6 +592,17 @@ class _ClassNetBuilder:
         return self.internal(node)
 
 
+def _build_network(tree: PartitionTree, dataset: Dataset, klass: str, tau: float) -> Network:
+    _assign_region_stats(tree, dataset, klass, tau)
+    b = NetworkBuilder()
+    root = _ClassNetBuilder(b).build(tree.root)
+    net = b.build(root=root, class_label=klass, partitions=tree.partition_lines())
+    report = validate(net)
+    if not report.ok:
+        raise ContractViolationError(f"built network for {klass!r} is invalid: {report}")
+    return net
+
+
 def build_class_network(tree: PartitionTree, dataset: Dataset, klass: str,
                         config: StructureConfig) -> Network:
     """One scoring network for a class from its partition tree.
@@ -605,15 +611,7 @@ def build_class_network(tree: PartitionTree, dataset: Dataset, klass: str,
     region sums; leaf regions mix pair gadgets (plus a bias product over
     partnerless part indicators), everything scope-completed with shared
     marginal fillers and uniform initial weights."""
-    _assign_region_stats(tree, dataset, klass, config.tau)
-    b = NetworkBuilder()
-    assembler = _ClassNetBuilder(b)
-    root = assembler.build(tree.root)
-    net = b.build(root=root, class_label=klass, partitions=tree.partition_lines())
-    report = validate(net)
-    if not report.ok:
-        raise ContractViolationError(f"built network for {klass!r} is invalid: {report}")
-    return net
+    return _build_network(tree, dataset, klass, config.tau)
 
 
 def count_gadgets(network: Network) -> int:
@@ -732,40 +730,9 @@ def find_shared_structures(networks: list[Network]) -> SharedStructure:
 # ------------------------------------------------------------- flat & naive
 
 
-def qualifying_whole_image(dataset: Dataset, klass: str, tau: float):
-    """Image-scale part occurrence and pair co-occurrence above tau."""
-    positives = dataset.by_class(klass)
-    if not positives:
-        raise InsufficientDataError(f"class {klass!r} has no images")
-    n = len(positives)
-    part_counts: dict[int, int] = {}
-    pair_counts: dict[tuple[int, int], int] = {}
-    for record in positives:
-        present = sorted(record.parts_present())
-        for p in present:
-            part_counts[p] = part_counts.get(p, 0) + 1
-        for i, a in enumerate(present):
-            for b in present[i + 1:]:
-                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
-    parts = sorted(p for p, c in part_counts.items() if c / n >= tau)
-    pairs = sorted(q for q, c in pair_counts.items() if c / n >= tau)
-    allowed = set(parts)
-    pairs = [q for q in pairs if q[0] in allowed and q[1] in allowed]
-    return parts, pairs
-
-
 def build_flat_network(dataset: Dataset, klass: str, config: StructureConfig) -> Network:
     """All qualifying pairs modeled at whole-image scale (no hierarchy)."""
-    parts, pairs = qualifying_whole_image(dataset, klass, config.tau)
-    b = NetworkBuilder()
-    assembler = _ClassNetBuilder(b)
-    node = TreeNode(region=Region.whole(), parts=parts, pairs=pairs)
-    root = assembler.leaf_region(node)
-    net = b.build(root=root, class_label=klass)
-    report = validate(net)
-    if not report.ok:
-        raise ContractViolationError(f"flat network for {klass!r} is invalid: {report}")
-    return net
+    return _build_network(PartitionTree(TreeNode(Region.whole()), config), dataset, klass, config.tau)
 
 
 def build_naive_network(dataset: Dataset, klass: str, config: StructureConfig) -> Network:

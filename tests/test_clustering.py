@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,25 @@ def test_drop_small_far_clusters(rng):
     clusters = agglomerate(feats, k_init=8, n_centers=3, drop_fraction=0.5, rng=rng)
     members = {m for c in clusters for m in c.members}
     assert "outlier" not in members
+
+
+def test_agglomerate_peak_memory_is_bounded():
+    # k-means against 24 centres and average links between clusters of
+    # ~80-330 vectors: one unblocked 2000 x 24 x 24 difference tensor alone
+    # takes 9.2 MB, the row-blocked distance steps stay far below
+    rng = np.random.default_rng(0)
+    centres = rng.normal(0.0, 10.0, size=(6, 24))
+    feats = [FeatureVector(f"f{i}", centres[i % 6] + rng.normal(size=24)) for i in range(2000)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        clusters = agglomerate(feats, k_init=24, n_centers=6, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sorted(len(c.members) for c in clusters) == [333] * 4 + [334] * 2
+    assert peak < 6e6
 
 
 def test_feature_file_round_trip(tmp_path):

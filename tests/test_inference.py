@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spatialspn.errors import ContractViolationError, TraversalMismatchError
-from spatialspn.inference import mpe, traversal_difference
+from spatialspn.inference import _backtrack, mpe, traversal_difference
 from spatialspn.network import (
     IndicatorValues,
     NetworkBuilder,
@@ -11,6 +11,7 @@ from spatialspn.network import (
     normalize_weights,
 )
 from spatialspn.oracle import brute_force_mpe, random_evidence, random_network
+from spatialspn.spatial import Relation
 
 from conftest import one_hot
 
@@ -138,6 +139,77 @@ def test_unconstrained_query_flagged():
     result = mpe(net, evidence, query=[("part", 1)])
     assert ("part", 1) in result.unconstrained
     assert result.assignment.parts[1] == (1.0, 0.0)  # default positive
+
+
+def reference_query_resolution(network, evidence, query):
+    """Per-leaf hit counting: most hits wins, ties go to the positive
+    polarity or the lowest relation; a variable never hit is unconstrained."""
+    node_counts, _ = _backtrack(network, max_evaluate(network, evidence).log_values)
+    part_hits, pair_hits = {}, {}
+    for nid, nd in enumerate(network.nodes):
+        count = int(node_counts[nid])
+        if count and nd.kind == "part":
+            hits = part_hits.setdefault(nd.part, {})
+            hits[nd.positive] = hits.get(nd.positive, 0) + count
+        elif count and nd.kind == "spatial":
+            hits = pair_hits.setdefault(nd.pair, {})
+            hits[nd.relation] = hits.get(nd.relation, 0) + count
+    assignment = evidence.copy()
+    unconstrained = set()
+    for kind, key in query:
+        if kind == "part":
+            hits = part_hits.get(key)
+            if not hits:
+                unconstrained.add((kind, key))
+            assignment.set_part(key, not hits or hits.get(True, 0) >= hits.get(False, 0))
+        else:
+            hits = pair_hits.get(key)
+            values = [0.0, 0.0, 0.0, 0.0]
+            if hits:
+                values[int(max(hits.items(), key=lambda kv: (kv[1], -int(kv[0])))[0])] = 1.0
+            else:
+                unconstrained.add((kind, key))
+            assignment.set_pair(key, values)
+    return assignment, unconstrained
+
+
+def tied_leaves_network():
+    # one product reaches both polarities of part 0 and two relations of a pair
+    b = NetworkBuilder()
+    root = b.product()
+    b.edge(root, b.part(0, True))
+    b.edge(root, b.part(0, False))
+    b.edge(root, b.spatial((1, 2), Relation.ABOVE))
+    b.edge(root, b.spatial((1, 2), Relation.RIGHT_OF))
+    return b.build(root=root)
+
+
+def test_mpe_query_resolution_matches_hit_rule(rng):
+    cases = []
+    for _ in range(60):
+        net = random_network(rng, max_parts=5, max_pairs=2)
+        evidence = random_evidence(rng, net, marginal_rate=0.0)
+        variables = net.variables()
+        picked = rng.choice(len(variables), size=int(rng.integers(1, len(variables) + 1)),
+                            replace=False)
+        cases.append((net, evidence, [variables[int(i)] for i in picked]))
+    cases.append((tied_leaves_network(), IndicatorValues(), [("part", 0), ("pair", (1, 2))]))
+    for net, evidence, query in cases:
+        query = query + [("part", 99), ("pair", (97, 98))]  # not in the network
+        for kind, key in query:
+            if kind == "part":
+                evidence.marginalize_part(key)
+            else:
+                evidence.marginalize_pair(key)
+        result = mpe(net, evidence, query)
+        assignment, unconstrained = reference_query_resolution(net, evidence, query)
+        assert result.assignment.parts == assignment.parts
+        assert result.assignment.pairs == assignment.pairs
+        assert result.unconstrained == unconstrained
+    evidence = IndicatorValues(parts={0: (1.0, 1.0)}, pairs={(1, 2): (1.0, 1.0, 1.0, 1.0)})
+    result = mpe(tied_leaves_network(), evidence, [("part", 0), ("pair", (1, 2))])
+    assert result.assignment.parts[0] == (1.0, 0.0)
+    assert result.assignment.pairs[(1, 2)] == (0.0, 1.0, 0.0, 0.0)
 
 
 def test_multi_parent_counts_multiply():

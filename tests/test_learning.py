@@ -434,6 +434,40 @@ def test_load_bundle_rejects_shared_group_of_undeclared_class(tmp_path):
     assert info.value.line_no == 5
 
 
+def write_tied_bundle(path, manifest_tail, weights_b=(0.3, 0.7)):
+    """Two one-sum class networks over part 0; the manifest ends with manifest_tail."""
+    for klass, weights in (("a", (0.3, 0.7)), ("b", weights_b)):
+        b = NetworkBuilder()
+        root = b.sum()
+        b.edge(root, b.part(0, True), weights[0])
+        b.edge(root, b.part(0, False), weights[1])
+        (path / f"{klass}.spn").write_text(serialize(b.build(root=root, class_label=klass)))
+    (path / "manifest").write_text(
+        "bundle v1\nt 1\nmode jhs-spn\nclasses 2\nclass a a.spn\nclass b b.spn\n" + manifest_tail
+    )
+
+
+def test_load_bundle_accepts_equal_tied_weights(tmp_path):
+    write_tied_bundle(tmp_path, "shared-group a:0 b:0\nshared-group a:1 b:1\n")
+    assert load_bundle(tmp_path).shared_groups == [[(0, 0), (1, 0)], [(0, 1), (1, 1)]]
+
+
+@pytest.mark.parametrize("manifest_tail, weights_b, line_no", [
+    ("t two\n", (0.3, 0.7), 7),
+    ("shared-group a0 b:0\n", (0.3, 0.7), 7),
+    ("shared-group a:x b:0\n", (0.3, 0.7), 7),
+    ("shared-group a:2 b:0\n", (0.3, 0.7), 7),
+    ("shared-group a:-1 b:0\n", (0.3, 0.7), 7),
+    ("shared-group a:0 b:0\n", (0.5, 0.5), 7),
+])
+def test_load_bundle_rejects_malformed_manifest_lines(tmp_path, manifest_tail, weights_b, line_no):
+    write_tied_bundle(tmp_path, manifest_tail, weights_b)
+    with pytest.raises(ModelFormatError) as info:
+        load_bundle(tmp_path)
+    assert info.value.line_no == line_no
+    assert cli.main(["inspect", str(tmp_path)]) == cli.EXIT_INPUT
+
+
 def test_classify_rejects_unknown_parts():
     ds = generate_synthetic(mirror_pair_spec(images_per_class=20), np.random.default_rng(0))
     sc = StructureConfig(seed=0, s=2, D=1)

@@ -98,3 +98,10 @@ def test_ablating_planted_pair_drops_accuracy(mirror_bundle_and_data):
     base = accuracy_with_overrides(bundle, test_ds, None)
     ablated = accuracy_with_overrides(bundle, test_ds, ablated_pair=(0, 1))
     assert base - ablated > 0.2
+
+
+def test_ablated_pair_order_does_not_matter(mirror_bundle_and_data):
+    bundle, test_ds = mirror_bundle_and_data
+    assert accuracy_with_overrides(bundle, test_ds, (1, 0)) == accuracy_with_overrides(
+        bundle, test_ds, (0, 1)
+    )

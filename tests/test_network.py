@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spatialspn.errors import (
 from spatialspn.network import (
     IndicatorValues,
     NetworkBuilder,
+    _leaf_log_values,
     assignment_to_indicators,
     deserialize,
     evaluate,
@@ -131,6 +133,81 @@ def test_reference_partition_function_is_one(ref_net):
 def test_missing_indicator_raises(ref_net):
     with pytest.raises(IncompleteEvidenceError):
         evaluate(ref_net, IndicatorValues(parts={0: (1.0, 0.0)}))
+
+
+def reference_leaf_log_values(network, indicators):
+    """Per-leaf lookup of every leaf's log value, one node at a time."""
+    logv = np.zeros(network.num_nodes)
+    for nid, nd in enumerate(network.nodes):
+        if nd.kind == "part":
+            value = indicators.parts[nd.part][0 if nd.positive else 1]
+        elif nd.kind == "spatial":
+            value = indicators.pairs[nd.pair][int(nd.relation)]
+        elif nd.kind == "one":
+            value = 1.0
+        else:
+            continue
+        logv[nid] = math.log(value) if value > 0.0 else -math.inf
+    return logv
+
+
+def fractional_evidence(rng, network):
+    values = IndicatorValues()
+    for part in network.part_universe:
+        values.parts[part] = tuple(float(v) for v in rng.choice([0.0, 0.3, 1.0, rng.random()], 2))
+    for pair in network.pair_universe:
+        values.pairs[pair] = tuple(float(v) for v in rng.choice([0.0, 0.7, 1.0, rng.random()], 4))
+    return values
+
+
+def with_constant_leaf():
+    b = NetworkBuilder()
+    root = b.product()
+    b.edge(root, b.part(3, True))
+    mix = b.sum()
+    b.edge(mix, b.one(), 1.0)
+    b.edge(root, mix)
+    return b.build(root=root)
+
+
+def test_leaf_fill_matches_per_leaf_reference(rng):
+    nets = [random_network(rng, max_parts=5, max_pairs=2) for _ in range(40)]
+    for net in nets + [with_constant_leaf()]:
+        evidence = fractional_evidence(rng, net)
+        got = _leaf_log_values(net, evidence)
+        want = reference_leaf_log_values(net, evidence)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])
+def test_leaf_fill_names_lowest_out_of_range_node(bad):
+    net = random_network(np.random.default_rng(3), max_parts=4, max_pairs=1)
+    part = net.part_universe[-1]
+    evidence = random_evidence(np.random.default_rng(4), net, marginal_rate=0.0)
+    evidence.parts[part] = (bad, bad)
+    leaves = [i for i, nd in enumerate(net.nodes) if nd.kind == "part" and nd.part == part]
+    with pytest.raises(IncompleteEvidenceError, match=f"node {min(leaves)} must lie in"):
+        evaluate(net, evidence)
+
+
+def test_leaf_fill_rejects_pair_entry_of_wrong_width():
+    net = random_network(np.random.default_rng(5), max_parts=4, max_pairs=1)
+    evidence = random_evidence(np.random.default_rng(6), net, marginal_rate=0.0)
+    evidence.set_pair(net.pair_universe[0], (1.0, 0.0, 0.0, 0.0, 1.0))
+    with pytest.raises(IncompleteEvidenceError, match="4 per pair"):
+        evaluate(net, evidence)
+
+
+def test_missing_pair_is_reported_before_out_of_range_value():
+    net = random_network(np.random.default_rng(5), max_parts=4, max_pairs=1)
+    pair = net.pair_universe[0]
+    evidence = random_evidence(np.random.default_rng(6), net, marginal_rate=0.0)
+    evidence.parts[net.part_universe[0]] = (1.5, 0.0)
+    del evidence.pairs[pair]
+    with pytest.raises(IncompleteEvidenceError, match=re.escape(f"pair {pair}")):
+        evaluate(net, evidence)
 
 
 def test_evaluate_matches_brute_force_on_random_networks(rng):
