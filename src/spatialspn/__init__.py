@@ -7,8 +7,8 @@ from .network import (
     NetworkBuilder,
     assignment_to_indicators,
     deserialize,
+    encode_records,
     evaluate,
-    indicators_for_network,
     load_network,
     max_evaluate,
     normalize_weights,
@@ -33,8 +33,8 @@ __all__ = [
     "canonical_pair",
     "compute_relations",
     "deserialize",
+    "encode_records",
     "evaluate",
-    "indicators_for_network",
     "load_network",
     "max_evaluate",
     "mpe",

@@ -20,6 +20,8 @@ from .network import (
     IndicatorValues,
     Network,
     max_evaluate,
+    pair_column,
+    part_column,
 )
 
 TIE_TOLERANCE = 1e-12
@@ -123,14 +125,14 @@ def mpe(network: Network, evidence: IndicatorValues, query=()) -> MpeResult:
 
     assignment = evidence.copy()
     unconstrained = set()
+    bases = [part_column(key) if kind == "part" else pair_column(*key) for kind, key in query]
     if query:
         table = network._leaf_slots()
-        # zero slots past the end stand in for variables the network lacks
-        hits = np.zeros(table.size + 4, dtype=np.int64)
-        np.add.at(hits, table.slots, node_counts[table.leaves])
-    for var in query:
+        # zero columns past the network's rows stand in for variables it lacks
+        hits = np.zeros(max([2 * table.span ** 2] + bases) + 4, dtype=np.int64)
+        np.add.at(hits, table.columns, node_counts[table.leaves])
+    for var, base in zip(query, bases):
         kind, key = var
-        base = table.base.get(var, table.size)
         # the polarity or relation reached most often wins; ties go to the
         # positive polarity or the lowest relation
         if kind == "part":

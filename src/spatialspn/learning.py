@@ -31,15 +31,15 @@ from .errors import (
     TrainingError,
     VocabularyMismatchError,
 )
-from .inference import mpe, traversal_difference
+from .inference import _backtrack
 from .network import (
     PRODUCT,
     SUM,
     WEIGHT_FLOOR,
     Network,
+    _forward,
     _int,
-    evaluate,
-    indicators_for_network,
+    encode_records,
     load_network,
     normalize_weights,
     save_network,
@@ -112,24 +112,26 @@ def generative_train(network: Network, positives: list[ImageRecord], config: Tra
                      log_lines: list[str] | None = None) -> Network:
     """Hard-EM over the class positives.
 
-    Every epoch runs full-evidence MPE per image and accumulates traversal
-    counts; at the epoch end each sum edge weight becomes
-    (count + alpha) / (sibling counts + alpha * fanout). Stops when the mean
-    log max-network root value improves by less than 1e-6 or at the epoch
-    cap. With alpha = 0, untraversed edges drop to exactly zero.
+    Every epoch runs one full-evidence max pass over all images and
+    accumulates each image's MPE traversal counts; at the epoch end each sum
+    edge weight becomes (count + alpha) / (sibling counts + alpha * fanout).
+    Stops when the mean log max-network root value improves by less than
+    1e-6 or at the epoch cap. With alpha = 0, untraversed edges drop to
+    exactly zero.
     """
     if not positives:
         raise InsufficientDataError("generative training needs at least one positive image")
     alpha = config.smoothing
     sums = [i for i, nd in enumerate(network.nodes) if nd.kind == SUM]
+    evidence = encode_records(positives, network.part_span)
     previous = None
     for epoch in range(config.generative_epochs):
         counts = np.zeros(network.num_edges, dtype=np.int64)
         total_log = 0.0
-        for image in positives:
-            result = mpe(network, indicators_for_network(network, image))
-            counts += result.traversal.counts
-            total_log += result.root_log_value
+        for log_values in _forward(network, evidence, "max"):
+            counts += _backtrack(network, log_values)[1]
+            # summed in image order: np.sum pairs terms and would change train.log
+            total_log += float(log_values[network.root])
         mean_log = total_log / len(positives)
         if log_lines is not None:
             log_lines.append(
@@ -206,11 +208,10 @@ def prune(network: Network, threshold: float) -> Network:
 # ------------------------------------------------------- discriminative core
 
 
-def _check_finite_root(network: Network, result) -> None:
-    root_log = result.root_log_value
-    if math.isnan(root_log):
+def _check_finite_root(network: Network, log_values: np.ndarray) -> None:
+    if math.isnan(log_values[network.root]):
         bad = next(
-            (int(n) for n in network.topological_order() if math.isnan(result.log_values[n])),
+            (int(n) for n in network.topological_order() if math.isnan(log_values[n])),
             network.root,
         )
         raise TrainingError(f"NaN value at node {bad} ({network.nodes[bad].kind})")
@@ -223,25 +224,24 @@ def _margin_update(network: Network, image_pos, image_neg, rate: float,
     Edges listed in `deferred` are not touched; their gradient contributions
     accumulate there instead (joint training applies them later). Satisfied
     pairs change nothing."""
-    ind_pos = indicators_for_network(network, image_pos)
-    ind_neg = indicators_for_network(network, image_neg)
-    res_pos = evaluate(network, ind_pos)
-    _check_finite_root(network, res_pos)
-    res_neg = evaluate(network, ind_neg)
-    _check_finite_root(network, res_neg)
-    slack = _hinge_slack(res_pos.root_log_value, res_neg.root_log_value)
+    evidence = encode_records([image_pos, image_neg], network.part_span)
+    logv = _forward(network, evidence, "sum")
+    _check_finite_root(network, logv[0])
+    _check_finite_root(network, logv[1])
+    v_pos, v_neg = float(logv[0, network.root]), float(logv[1, network.root])
+    slack = _hinge_slack(v_pos, v_neg)
     record = MarginRecord(image_pos.id, image_neg.id, slack)
     if slack == 0.0:
         return record
-    if math.isinf(res_pos.root_log_value):
+    if math.isinf(v_pos):
         # the positive image scores a structural zero; no gradient exists
         return record
 
-    counts_pos = mpe(network, ind_pos).traversal
-    counts_neg = mpe(network, ind_neg).traversal
-    delta = traversal_difference(counts_pos, counts_neg)
+    best = _forward(network, evidence, "max")
+    delta = _backtrack(network, best[0])[1] - _backtrack(network, best[1])[1]
     touched = set()
-    for edge, dt in delta.items():
+    for edge in np.flatnonzero(delta).tolist():
+        dt = int(delta[edge])
         parent = int(network.edge_parent[edge])
         if network.nodes[parent].kind != SUM:
             continue
@@ -278,14 +278,12 @@ def _split_fit_dev(records, rng):
 
 
 def _mean_dev_margin(network: Network, dev_pos, dev_neg) -> float:
-    def score(image):
-        return evaluate(network, indicators_for_network(network, image)).root_log_value
-
-    negative_scores = [score(image) for image in dev_neg]
+    evidence = encode_records(dev_pos + dev_neg, network.part_span)
+    scores = _forward(network, evidence, "sum")[:, network.root].tolist()
+    negative_scores = scores[len(dev_pos):]
     total = 0.0
     n = 0
-    for image_pos in dev_pos:
-        vp = score(image_pos)
+    for vp in scores[:len(dev_pos)]:
         for vn in negative_scores:
             total += _hinge_slack(vp, vn)
             n += 1
@@ -500,22 +498,33 @@ def train_all(dataset: Dataset, structure_config: StructureConfig,
 # ------------------------------------------------------------ classification
 
 
+def _bundle_evidence(bundle: ModelBundle, records) -> np.ndarray:
+    """Evidence rows for `records`, wide enough for every class network."""
+    for record in records:
+        for det in record.detections:
+            if not (0 <= det.part < bundle.vocabulary_size):
+                raise VocabularyMismatchError(
+                    f"image {record.id} uses part {det.part}, vocabulary has {bundle.vocabulary_size}"
+                )
+    span = max([bundle.vocabulary_size] + [net.part_span for net in bundle.networks.values()])
+    return encode_records(records, span)
+
+
+def _class_scores(bundle: ModelBundle, evidence: np.ndarray) -> list[tuple[dict[str, float], str]]:
+    """Per evidence row, each class network's log root value and the argmax
+    label (ties to the lowest class id)."""
+    columns = [_forward(bundle.networks[k], evidence, "sum")[:, bundle.networks[k].root].tolist()
+               for k in bundle.classes]
+    rows = []
+    for values in zip(*columns):
+        scores = dict(zip(bundle.classes, values))
+        rows.append((scores, next(k for k in sorted(scores) if scores[k] == max(values))))
+    return rows
+
+
 def classify(image: ImageRecord, bundle: ModelBundle):
     """Per-class log scores and the argmax label (ties to the lowest class id)."""
-    for det in image.detections:
-        if not (0 <= det.part < bundle.vocabulary_size):
-            raise VocabularyMismatchError(
-                f"image {image.id} uses part {det.part}, vocabulary has {bundle.vocabulary_size}"
-            )
-    scores = {}
-    for klass in bundle.classes:
-        network = bundle.networks[klass]
-        indicators = indicators_for_network(network, image)
-        scores[klass] = evaluate(network, indicators).root_log_value
-    best = max(scores.values())
-    # deterministic tie-break: lowest class id
-    label = next(k for k in sorted(scores) if scores[k] == best)
-    return scores, label
+    return _class_scores(bundle, _bundle_evidence(bundle, [image]))[0]
 
 
 # ------------------------------------------------------------------- bundles
@@ -554,6 +563,7 @@ def load_bundle(path) -> ModelBundle:
     classes: list[str] = []
     networks: dict[str, Network] = {}
     shared_groups = []
+    declared = None  # (line, count) of the `classes` line
     for line_no, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if not tokens:
@@ -561,8 +571,14 @@ def load_bundle(path) -> ModelBundle:
         if tokens[0] == "t":
             vocab = _int(" ".join(tokens[1:]), line_no, "vocabulary size")
         elif tokens[0] == "mode":
+            if len(tokens) != 2 or tokens[1] not in MODES:
+                raise ModelFormatError(line_no, f"mode line needs one of {MODES}")
             mode = tokens[1]
-        elif tokens[0] == "class" and len(tokens) == 3:
+        elif tokens[0] == "classes":
+            declared = (line_no, _int(" ".join(tokens[1:]), line_no, "class count"))
+        elif tokens[0] == "class":
+            if len(tokens) != 3:
+                raise ModelFormatError(line_no, "class line needs '<name> <file>'")
             classes.append(tokens[1])
             networks[tokens[1]] = load_network(os.path.join(path, tokens[2]))
         elif tokens[0] == "shared-group":
@@ -581,6 +597,8 @@ def load_bundle(path) -> ModelBundle:
             if any(not math.isclose(w, weights[0], rel_tol=1e-9) for w in weights):
                 raise ModelFormatError(line_no, f"tied shared-group weights differ: {weights}")
             shared_groups.append(group)
+    if declared is not None and declared[1] != len(classes):
+        raise ModelFormatError(declared[0], f"{declared[1]} classes declared, {len(classes)} listed")
     return ModelBundle(
         vocabulary_size=vocab,
         classes=classes,

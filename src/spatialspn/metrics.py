@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .learning import ModelBundle, classify
+from .learning import ModelBundle, _bundle_evidence, _class_scores
+from .network import pair_column
+from .spatial import canonical_pair
 
 
 def average_precision(labels, scores) -> float:
@@ -54,11 +56,8 @@ class EvalReport:
 
 def scores_table(bundle: ModelBundle, dataset: Dataset):
     """Per-image class scores and argmax predictions."""
-    rows = []
-    for record in dataset.records:
-        scores, predicted = classify(record, bundle)
-        rows.append((record, scores, predicted))
-    return rows
+    rows = _class_scores(bundle, _bundle_evidence(bundle, dataset.records))
+    return [(record, scores, label) for record, (scores, label) in zip(dataset.records, rows)]
 
 
 def evaluate_bundle(bundle: ModelBundle, dataset: Dataset) -> EvalReport:
@@ -104,19 +103,10 @@ def accuracy_with_overrides(bundle: ModelBundle, dataset: Dataset, ablated_pair=
     Setting the pair's relation indicators to 1 (rather than deleting its
     gadgets) keeps every network valid while removing the pair's geometric
     evidence from the score."""
-    from .network import evaluate, indicators_for_network
-
-    correct = 0
-    for record in dataset.records:
-        scores = {}
-        for klass in bundle.classes:
-            network = bundle.networks[klass]
-            indicators = indicators_for_network(network, record)
-            if ablated_pair is not None:
-                indicators.marginalize_pair(ablated_pair)
-            scores[klass] = evaluate(network, indicators).root_log_value
-        best = max(scores.values())
-        predicted = next(k for k in sorted(scores) if scores[k] == best)
-        if predicted == record.klass:
-            correct += 1
+    evidence = _bundle_evidence(bundle, dataset.records)
+    if ablated_pair is not None:
+        column = pair_column(*canonical_pair(*ablated_pair))
+        evidence[:, column:column + 4] = 1.0
+    rows = _class_scores(bundle, evidence)
+    correct = sum(label == record.klass for record, (_, label) in zip(dataset.records, rows))
     return correct / max(len(dataset.records), 1)

@@ -20,9 +20,9 @@ safe to run concurrently over a shared network.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     MalformedRecordError,
     ModelFormatError,
 )
-from .spatial import RELATION_TOKENS, TOKEN_RELATIONS, Relation, canonical_pair, relation_tuple
+from .spatial import RELATION_TOKENS, TOKEN_RELATIONS, Relation, canonical_pair
 
 SUM = "sum"
 PRODUCT = "product"
@@ -46,6 +46,9 @@ INTERNAL_KINDS = frozenset({SUM, PRODUCT})
 
 FORMAT_VERSION = 1
 WEIGHT_FLOOR = 1e-8
+# Rows per block of a batched forward pass are this many values over the
+# edge count, which bounds the (rows, edges) temporaries on large networks.
+ROW_BLOCK_ELEMENTS = 2 ** 18
 
 NEG_INF = float("-inf")
 
@@ -102,18 +105,15 @@ class ValidityReport:
 
 @dataclass(frozen=True)
 class LeafSlots:
-    """Where every leaf of a network reads its value in the evidence vector.
-
-    The vector holds (x, x_bar) for each part of `parts`, then (left, right,
-    above, below) for each pair of `pairs`, then the constant 1.0 of the
-    "one" leaf. `base` maps each variable to its first slot."""
+    """Leaf node `leaves[i]` reads evidence column `columns[i]` (see
+    `encode_records`); the constant "one" leaf reads nothing, its log value
+    is 0. Rows of `encode_records(records, span)` cover every leaf."""
 
     parts: list[int]
     pairs: list[tuple[int, int]]
-    base: dict
-    size: int
+    span: int
     leaves: np.ndarray
-    slots: np.ndarray
+    columns: np.ndarray
 
 
 class IndicatorValues:
@@ -154,52 +154,68 @@ class IndicatorValues:
         return self.pairs.get(pair) == (1.0, 1.0, 1.0, 1.0)
 
 
-def assignment_to_indicators(image, vocabulary_size: int, query_parts=(), pairs=None,
-                             parts=None) -> IndicatorValues:
-    """Encode an image's detections as indicator values.
-
-    Observed parts become one-hot (absence is evidence, not missingness),
-    parts in query_parts get both polarities 1, and spatial indicators are
-    computed from detection centers for pairs with both parts present and
-    neither queried, and marginalized otherwise. `parts` and `pairs` restrict
-    which entries are materialized; by default every part and every canonical
-    pair of the vocabulary is filled.
-    """
-    query = set(query_parts)
-    locations = {}
-    for det in image.detections:
-        loc = det.location()
-        if not loc.is_finite():
-            raise MalformedRecordError(
-                f"image {image.id}: part {det.part} is active but its location is not finite"
-            )
-        if det.part not in locations:
-            locations[det.part] = loc
-
-    values = IndicatorValues()
-    if parts is None:
-        parts = range(vocabulary_size)
-    for part in parts:
-        if part in query:
-            values.marginalize_part(part)
-        else:
-            values.set_part(part, part in locations)
-
-    if pairs is None:
-        pairs = [(a, b) for a in range(vocabulary_size) for b in range(a + 1, vocabulary_size)]
-    for pair in pairs:
-        a, b = canonical_pair(*pair)
-        if a in locations and b in locations and a not in query and b not in query:
-            values.set_pair((a, b), relation_tuple(locations[a], locations[b]))
-        else:
-            values.marginalize_pair((a, b))
-    return values
+def part_column(part):
+    """First evidence column of a part: (x, x_bar) sit at 2p², 2p²+1."""
+    return 2 * part * part
 
 
-def indicators_for_network(network: "Network", image, query_parts=()) -> IndicatorValues:
-    """Indicator values covering exactly the leaves of one network."""
-    return assignment_to_indicators(image, 0, query_parts, pairs=network.pair_universe,
-                                    parts=network.part_universe)
+def pair_column(a, b):
+    """First evidence column of the canonical pair (a, b), a < b: its
+    (left, right, above, below) sit at 2b²+2+4a onwards."""
+    return 2 * b * b + 2 + 4 * a
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_layout(vocabulary_size: int):
+    """Every canonical pair (a, b) of the vocabulary and its four columns."""
+    a, b = np.triu_indices(vocabulary_size, 1)
+    return a, b, pair_column(a, b)[:, None] + np.arange(4)
+
+
+def encode_records(records, vocabulary_size: int, query_parts=()) -> np.ndarray:
+    """Dense evidence with one row per record and 2t² columns: part p's
+    (x, x_bar) at `part_column(p)`, the pair (a, b)'s (left, right, above,
+    below) at `pair_column(a, b)`. The first detection of a part wins and
+    parts outside the vocabulary are ignored; absence is evidence, and query
+    parts get both polarities 1. A pair with a missing or queried part is all
+    ones, and an equal coordinate sets neither relation of its axis. A
+    non-finite location raises MalformedRecordError."""
+    t, n = vocabulary_size, len(records)
+    present = np.zeros((n, t), dtype=bool)
+    xy = np.zeros((n, t, 2))
+    for row, record in enumerate(records):
+        for det in record.detections:
+            if not (math.isfinite(det.x) and math.isfinite(det.y)):
+                raise MalformedRecordError(
+                    f"image {record.id}: part {det.part} is active but its location is not finite"
+                )
+            if 0 <= det.part < t and not present[row, det.part]:
+                present[row, det.part] = True
+                xy[row, det.part] = det.x, det.y
+    queried = np.zeros(t, dtype=bool)
+    queried[[p for p in query_parts if 0 <= p < t]] = True
+
+    evidence = np.empty((n, 2 * t * t))
+    evidence[:, part_column(np.arange(t))] = present | queried
+    evidence[:, part_column(np.arange(t)) + 1] = ~present | queried
+    a, b, columns = _pair_layout(t)
+    known = present & ~queried
+    lo, hi = xy[:, a], xy[:, b]  # per pair and axis (x, y)
+    unknown = ~(known[:, a] & known[:, b])[:, :, None]
+    evidence[:, columns[:, 0::2]] = (lo < hi) | unknown  # left, above
+    evidence[:, columns[:, 1::2]] = (lo > hi) | unknown  # right, below
+    return evidence
+
+
+def assignment_to_indicators(image, vocabulary_size: int, query_parts=()) -> IndicatorValues:
+    """One image's `encode_records` row as indicator values over every part
+    and every canonical pair of the vocabulary."""
+    row = encode_records([image], vocabulary_size, query_parts)[0].tolist()
+    a, b, _ = _pair_layout(vocabulary_size)
+    return IndicatorValues(
+        {p: tuple(row[part_column(p):part_column(p) + 2]) for p in range(vocabulary_size)},
+        {q: tuple(row[pair_column(*q):pair_column(*q) + 4]) for q in zip(a.tolist(), b.tolist())},
+    )
 
 
 class Network:
@@ -286,28 +302,29 @@ class Network:
     # -------------------------------------------------------------- topo / plan
 
     def _leaf_slots(self) -> "LeafSlots":
-        """Each leaf's slot in the flat evidence vector, compiled once."""
+        """Each leaf's evidence column, compiled once."""
         if self._leaf_table is not None:
             return self._leaf_table
         parts = sorted({nd.part for nd in self.nodes if nd.kind == PART})
         pairs = sorted({nd.pair for nd in self.nodes if nd.kind == SPATIAL})
-        base = {part_var(p): 2 * i for i, p in enumerate(parts)}
-        base.update({pair_var(q): 2 * len(parts) + 4 * j for j, q in enumerate(pairs)})
-        size = 2 * len(parts) + 4 * len(pairs) + 1
-        leaves, slots = [], []
+        leaves, columns = [], []
         for nid, nd in enumerate(self.nodes):
             if nd.kind == PART:
-                slots.append(base[part_var(nd.part)] + (0 if nd.positive else 1))
+                columns.append(part_column(nd.part) + (0 if nd.positive else 1))
             elif nd.kind == SPATIAL:
-                slots.append(base[pair_var(nd.pair)] + int(nd.relation))
-            elif nd.kind == ONE:
-                slots.append(size - 1)
+                columns.append(pair_column(*nd.pair) + int(nd.relation))
             else:
                 continue
             leaves.append(nid)
-        self._leaf_table = LeafSlots(parts, pairs, base, size,
-                                 np.asarray(leaves, dtype=np.int64), np.asarray(slots, dtype=np.int64))
+        span = max(parts + [b for _, b in pairs], default=-1) + 1
+        self._leaf_table = LeafSlots(parts, pairs, span, np.asarray(leaves, dtype=np.int64),
+                                     np.asarray(columns, dtype=np.int64))
         return self._leaf_table
+
+    @property
+    def part_span(self) -> int:
+        """The smallest vocabulary whose evidence rows cover every leaf."""
+        return self._leaf_slots().span
 
     def topological_order(self) -> np.ndarray:
         """Node ids ordered children-first. Raises CycleError on cycles."""
@@ -337,41 +354,38 @@ class Network:
         return self._topo
 
     def _evaluation_plan(self):
-        """Per-level edge groups for vectorized bottom-up evaluation."""
+        """Per level above the leaves (a node sits one above its highest
+        child), each node kind's (nodes, edges, children, seg_starts,
+        seg_ids): the child edges of its nodes, in id then insertion order,
+        their children, where each node's run starts and each edge's node."""
         if self._plan is not None:
             return self._plan
-        topo = self.topological_order()
-        level = np.zeros(self.num_nodes, dtype=np.int64)
-        for node in topo:
-            kids = self.children(node)
-            if len(kids):
-                level[node] = level[kids].max() + 1
+        self.topological_order()  # raises CycleError before levels are sought
+        n = self.num_nodes
+        fanout = np.diff(self._cs_start)
+        parents = np.flatnonzero(fanout)
+        level = np.zeros(n, dtype=np.int64)
+        while len(parents):
+            above = np.maximum.reduceat(level[self._cs_child], self._cs_start[parents]) + 1
+            if np.array_equal(above, level[parents]):
+                break
+            level[parents] = above
+        kinds = np.array([nd.kind for nd in self.nodes])
 
         plan = []
-        max_level = int(level.max()) if self.num_nodes else 0
-        for lv in range(1, max_level + 1):
+        for lv in range(1, int(level.max(initial=0)) + 1):
             ids = np.flatnonzero(level == lv)
             groups = {}
             for kind in (SUM, PRODUCT):
-                nodes = np.asarray(
-                    [i for i in ids if self.nodes[i].kind == kind], dtype=np.int32
-                )
+                nodes = ids[kinds[ids] == kind].astype(np.int32)
                 if not len(nodes):
                     continue
-                seg_starts = []
-                edge_chunks = []
-                pos = 0
-                for nid in nodes:
-                    edges = self.child_edges(int(nid))
-                    seg_starts.append(pos)
-                    edge_chunks.append(edges)
-                    pos += len(edges)
-                edges = np.concatenate(edge_chunks)
-                groups[kind] = (
-                    nodes,
-                    edges,
-                    np.asarray(seg_starts, dtype=np.int64),
-                )
+                counts = fanout[nodes]
+                seg_starts = np.cumsum(counts) - counts
+                seg_ids = np.repeat(np.arange(len(nodes)), counts)
+                offsets = np.arange(counts.sum()) - seg_starts[seg_ids]
+                edges = self._cs_edge[self._cs_start[nodes][seg_ids] + offsets]
+                groups[kind] = (nodes, edges, self.edge_child[edges], seg_starts, seg_ids)
             plan.append(groups)
         self._plan = plan
         return plan
@@ -590,75 +604,80 @@ class EvaluationResult:
         return np.exp(self.log_values)
 
 
-def _leaf_log_values(network: Network, indicators: IndicatorValues) -> np.ndarray:
+def _evidence_row(network: Network, indicators: IndicatorValues) -> np.ndarray:
+    """One evidence row holding the network's entries of `indicators`."""
     table = network._leaf_slots()
     try:
-        rows = [indicators.parts[p] for p in table.parts]
+        entries = [(part_column(p), 2, indicators.parts[p]) for p in table.parts]
     except KeyError as exc:
         raise IncompleteEvidenceError(f"no indicator value for part {exc.args[0]}") from None
     try:
-        rows += [indicators.pairs[q] for q in table.pairs]
+        entries += [(pair_column(*q), 4, indicators.pairs[q]) for q in table.pairs]
     except KeyError as exc:
         raise IncompleteEvidenceError(f"no indicator values for pair {exc.args[0]}") from None
-    rows.append((1.0,))
-    evidence = np.fromiter(chain.from_iterable(rows), dtype=np.float64)
-    if len(evidence) != table.size:
-        raise IncompleteEvidenceError("indicator entries must hold 2 values per part, 4 per pair")
-    values = evidence[table.slots]
+    row = np.zeros((1, 2 * table.span ** 2))
+    for column, width, values in entries:
+        if len(values) != width:
+            raise IncompleteEvidenceError("indicator entries must hold 2 values per part, 4 per pair")
+        row[0, column:column + width] = values
+    return row
+
+
+def _leaf_log_values(network: Network, evidence: np.ndarray) -> np.ndarray:
+    """(rows, nodes) log values with every leaf read from its evidence column
+    and every other node at 0."""
+    table = network._leaf_slots()
+    values = evidence[:, table.columns]
     bad = ~((values >= 0.0) & (values <= 1.0 + 1e-12))  # NaN fails both tests
     if bad.any():
-        first = int(np.argmax(bad))
+        row, first = np.unravel_index(np.argmax(bad), bad.shape)
         raise IncompleteEvidenceError(
-            f"indicator value for node {table.leaves[first]} must lie in [0, 1], got {values[first]}"
+            f"indicator value for node {table.leaves[first]} must lie in [0, 1], "
+            f"got {values[row, first]}"
         )
-    logv = np.zeros(network.num_nodes, dtype=np.float64)
+    logv = np.zeros((len(evidence), network.num_nodes))
     with np.errstate(divide="ignore"):
-        logv[table.leaves] = np.log(values)
+        logv[:, table.leaves] = np.log(values)
     return logv
 
 
-def _segment_values(scores: np.ndarray, seg_starts: np.ndarray, mode: str) -> np.ndarray:
-    """Per-segment logsumexp or max over contiguous edge scores."""
-    maxima = np.maximum.reduceat(scores, seg_starts)
-    if mode == "max":
-        return maxima
-    seg_ids = np.zeros(len(scores), dtype=np.int64)
-    seg_ids[seg_starts[1:]] = 1
-    seg_ids = np.cumsum(seg_ids)
-    dead = np.isneginf(maxima)
-    with np.errstate(invalid="ignore"):
-        shifted = scores - maxima[seg_ids]
-    shifted[dead[seg_ids]] = 0.0  # -inf minus -inf: whole segment is dead
-    sums = np.add.reduceat(np.exp(shifted), seg_starts)
-    with np.errstate(divide="ignore"):
-        out = maxima + np.log(sums)
-    out[dead] = NEG_INF  # NaN maxima must stay NaN so training can abort
-    return out
-
-
-def _forward(network: Network, indicators, mode: str) -> EvaluationResult:
-    logv = _leaf_log_values(network, indicators)
-    with np.errstate(divide="ignore"):
+def _forward(network: Network, evidence: np.ndarray, mode: str) -> np.ndarray:
+    """Per-node log values, one row per evidence row; sum nodes mix ("sum")
+    or take their best child ("max"). Rows go through the levels in blocks,
+    so the (rows, edges) temporaries stay near ROW_BLOCK_ELEMENTS values."""
+    logv = _leaf_log_values(network, evidence)
+    plan = network._evaluation_plan()
+    step = max(1, ROW_BLOCK_ELEMENTS // max(1, network.num_edges))
+    with np.errstate(divide="ignore", invalid="ignore"):
         logw = np.log(network.edge_weight)
-    for groups in network._evaluation_plan():
-        if PRODUCT in groups:
-            nodes, edges, seg_starts = groups[PRODUCT]
-            logv[nodes] = np.add.reduceat(logv[network.edge_child[edges]], seg_starts)
-        if SUM in groups:
-            nodes, edges, seg_starts = groups[SUM]
-            scores = logw[edges] + logv[network.edge_child[edges]]
-            logv[nodes] = _segment_values(scores, seg_starts, mode)
-    return EvaluationResult(network, logv)
+        for lo in range(0, len(logv), step):
+            block = logv[lo:lo + step]
+            for groups in plan:
+                if PRODUCT in groups:
+                    nodes, _, children, seg_starts, _ = groups[PRODUCT]
+                    block[:, nodes] = np.add.reduceat(block[:, children], seg_starts, axis=1)
+                if SUM in groups:
+                    nodes, edges, children, seg_starts, seg_ids = groups[SUM]
+                    scores = logw[edges] + block[:, children]
+                    best = np.maximum.reduceat(scores, seg_starts, axis=1)
+                    if mode == "sum":
+                        # a dead segment (all scores -inf) is shifted by 0, so it sums
+                        # to 0 and stays -inf; NaN stays NaN so training can abort
+                        best = np.where(best == NEG_INF, 0.0, best)
+                        shifted = np.exp(scores - best[:, seg_ids])
+                        best = best + np.log(np.add.reduceat(shifted, seg_starts, axis=1))
+                    block[:, nodes] = best
+    return logv
 
 
 def evaluate(network: Network, indicators: IndicatorValues) -> EvaluationResult:
     """Exact topological evaluation; sum nodes mix, product nodes factor."""
-    return _forward(network, indicators, "sum")
+    return EvaluationResult(network, _forward(network, _evidence_row(network, indicators), "sum")[0])
 
 
 def max_evaluate(network: Network, indicators: IndicatorValues) -> EvaluationResult:
     """Evaluation with sum nodes replaced by max nodes."""
-    return _forward(network, indicators, "max")
+    return EvaluationResult(network, _forward(network, _evidence_row(network, indicators), "max")[0])
 
 
 # --------------------------------------------------------------------- normalize

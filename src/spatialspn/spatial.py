@@ -64,11 +64,6 @@ def compute_relations(loc1: Location, loc2: Location) -> tuple[bool, bool, bool,
     return (left, right, above, below)
 
 
-def relation_tuple(loc1: Location, loc2: Location) -> tuple[float, float, float, float]:
-    """compute_relations as 0.0/1.0 indicator values."""
-    return tuple(1.0 if f else 0.0 for f in compute_relations(loc1, loc2))
-
-
 def build_pair_gadget(pair: tuple[int, int]):
     """Stand-alone network fragment scoring the spatial configuration of a pair.
 

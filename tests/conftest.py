@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spatialspn.network import IndicatorValues, NetworkBuilder
 from spatialspn.oracle import reference_network
+
+# CLI and acceptance tests run `python -m spatialspn` in a child process;
+# like pytest's `pythonpath` setting, let it import this checkout's package
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -36,8 +36,8 @@ from spatialspn.learning import (
 from spatialspn.network import (
     Network,
     NetworkBuilder,
+    assignment_to_indicators,
     evaluate,
-    indicators_for_network,
     normalize_weights,
     serialize,
     validate,
@@ -120,7 +120,7 @@ def test_generative_mean_log_value_non_decreasing():
     for _ in range(6):
         generative_train(net, records, config)
         total = sum(
-            mpe(net, indicators_for_network(net, r)).root_log_value for r in records
+            mpe(net, assignment_to_indicators(r, net.part_span)).root_log_value for r in records
         )
         means.append(total / len(records))
     for before, after in zip(means, means[1:]):
@@ -301,8 +301,8 @@ def test_identical_images_leave_weights_unchanged():
 def test_single_sided_edge_weight_increases():
     net = mixture_network()
     pos, neg = im([0]), im([], klass="d")
-    res_p = mpe(net, indicators_for_network(net, pos))
-    res_n = mpe(net, indicators_for_network(net, neg))
+    res_p = mpe(net, assignment_to_indicators(pos, net.part_span))
+    res_n = mpe(net, assignment_to_indicators(neg, net.part_span))
     delta = res_p.traversal.counts - res_n.traversal.counts
     increased = [e for e in np.flatnonzero(delta > 0)
                  if net.nodes[int(net.edge_parent[e])].kind == "sum"]
@@ -459,6 +459,10 @@ def test_load_bundle_accepts_equal_tied_weights(tmp_path):
     ("shared-group a:2 b:0\n", (0.3, 0.7), 7),
     ("shared-group a:-1 b:0\n", (0.3, 0.7), 7),
     ("shared-group a:0 b:0\n", (0.5, 0.5), 7),
+    ("mode\n", (0.3, 0.7), 7),
+    ("mode fancy-spn\n", (0.3, 0.7), 7),
+    ("class c\n", (0.3, 0.7), 7),
+    ("classes 3\n", (0.3, 0.7), 7),
 ])
 def test_load_bundle_rejects_malformed_manifest_lines(tmp_path, manifest_tail, weights_b, line_no):
     write_tied_bundle(tmp_path, manifest_tail, weights_b)
@@ -497,9 +501,9 @@ def test_training_positive_scores_higher_after_generative_stage():
     sc = StructureConfig(seed=0, s=2)
     net = build_flat_network(ds, "west", sc)
     target = ds.by_class("west")[0]
-    before = evaluate(net, indicators_for_network(net, target)).root_log_value
+    before = evaluate(net, assignment_to_indicators(target, ds.vocabulary_size)).root_log_value
     generative_train(net, ds.by_class("west"), TrainConfig(generative_epochs=5))
-    after = evaluate(net, indicators_for_network(net, target)).root_log_value
+    after = evaluate(net, assignment_to_indicators(target, ds.vocabulary_size)).root_log_value
     assert after > before
 
 
@@ -513,7 +517,7 @@ def test_pruned_trained_networks_still_validate_and_evaluate():
         net = bundle.networks[klass]
         assert validate(net).ok
         for record in ds.records[:5]:
-            result = evaluate(net, indicators_for_network(net, record))
+            result = evaluate(net, assignment_to_indicators(record, ds.vocabulary_size))
             assert not math.isnan(result.root_log_value)
 
 

@@ -1,10 +1,18 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spatialspn.data import Detection, ImageRecord
+import spatialspn.network as network_module
+from spatialspn.data import (
+    Detection,
+    ImageRecord,
+    generate_synthetic,
+    preset_spec,
+    strip_grid_spec,
+)
 from spatialspn.errors import (
     DegenerateNodeError,
     IncompleteEvidenceError,
@@ -14,11 +22,13 @@ from spatialspn.errors import (
 from spatialspn.network import (
     IndicatorValues,
     NetworkBuilder,
+    _evidence_row,
+    _forward,
     _leaf_log_values,
     assignment_to_indicators,
     deserialize,
+    encode_records,
     evaluate,
-    indicators_for_network,
     normalize_weights,
     serialize,
     validate,
@@ -28,6 +38,14 @@ from spatialspn.oracle import (
     random_evidence,
     random_network,
     reference_network,
+)
+
+from spatialspn.spatial import compute_relations
+from spatialspn.structure import (
+    StructureConfig,
+    build_class_network,
+    build_flat_network,
+    learn_partition_tree,
 )
 
 from conftest import chain_network, one_hot
@@ -174,7 +192,7 @@ def test_leaf_fill_matches_per_leaf_reference(rng):
     nets = [random_network(rng, max_parts=5, max_pairs=2) for _ in range(40)]
     for net in nets + [with_constant_leaf()]:
         evidence = fractional_evidence(rng, net)
-        got = _leaf_log_values(net, evidence)
+        got = _leaf_log_values(net, _evidence_row(net, evidence))[0]
         want = reference_leaf_log_values(net, evidence)
         assert np.array_equal(np.isneginf(got), np.isneginf(want))
         finite = np.isfinite(want)
@@ -415,8 +433,202 @@ def test_builder_rejects_bad_weights():
         b.edge(p, x, 0.5)  # product edge must not carry one
 
 
-def test_indicators_for_network_covers_exactly_the_universe(ref_net):
-    image = _image([(0, 5.0, 5.0)])
-    values = indicators_for_network(ref_net, image)
-    assert set(values.parts) == set(ref_net.part_universe)
-    assert set(values.pairs) == set(ref_net.pair_universe)
+
+# ------------------------------------------------- evidence matrix encoder
+
+
+def relation_tuple(loc1, loc2):
+    return tuple(1.0 if f else 0.0 for f in compute_relations(loc1, loc2))
+
+
+def reference_encoding(image, t, query_parts=()):
+    """The per-pair encoding: first detection wins, relation_tuple per pair."""
+    locations = {}
+    for det in image.detections:
+        if not det.location().is_finite():
+            raise MalformedRecordError(f"image {image.id}: bad location")
+        locations.setdefault(det.part, det.location())
+    parts = {p: (1.0, 1.0) if p in query_parts else (1.0, 0.0) if p in locations else (0.0, 1.0)
+             for p in range(t)}
+    pairs = {}
+    for a in range(t):
+        for b in range(a + 1, t):
+            known = all(p in locations and p not in query_parts for p in (a, b))
+            pairs[(a, b)] = (relation_tuple(locations[a], locations[b]) if known
+                             else (1.0, 1.0, 1.0, 1.0))
+    return parts, pairs
+
+
+def random_records(rng, n, t):
+    """Records on a coarse grid, so equal coordinates are common; some
+    detections repeat a part or lie outside the vocabulary."""
+    records = []
+    for i in range(n):
+        dets = [Detection(int(rng.integers(0, t + 2)), float(rng.integers(0, 4)),
+                          float(rng.integers(0, 4))) for _ in range(int(rng.integers(0, 2 * t + 2)))]
+        records.append(ImageRecord(f"r{i}", "c", 10, 10, dets))
+    return records
+
+
+def test_encoder_matches_per_pair_reference(rng):
+    for t in (0, 1, 2, 5, 9):
+        records = random_records(rng, 25, t)
+        for query in ((), (0,), (1, t - 1), (t + 3,)):
+            evidence = encode_records(records, t, query)
+            assert evidence.shape == (len(records), 2 * t * t)
+            for row, record in zip(evidence, records):
+                parts, pairs = reference_encoding(record, t, set(query))
+                for p, values in parts.items():
+                    assert tuple(row[2 * p * p:2 * p * p + 2]) == values
+                for (a, b), values in pairs.items():
+                    start = 2 * b * b + 2 + 4 * a
+                    assert tuple(row[start:start + 4]) == values
+                one_row = assignment_to_indicators(record, t, query)
+                assert (one_row.parts, one_row.pairs) == (parts, pairs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_encoder_rejects_non_finite_location_of_any_record(bad):
+    good = _image([(0, 1.0, 1.0)])
+    broken = ImageRecord("broken", "c", 10, 10, [Detection(0, 1.0, 1.0), Detection(5, bad, 1.0)])
+    with pytest.raises(MalformedRecordError, match="image broken: part 5"):
+        encode_records([good, broken], 2)
+
+
+# ------------------------------------------------------ evaluation plan
+
+
+def reference_plan(network):
+    """The per-node loop build of the evaluation plan."""
+    level = np.zeros(network.num_nodes, dtype=np.int64)
+    for node in network.topological_order():
+        kids = network.children(node)
+        if len(kids):
+            level[node] = level[kids].max() + 1
+    plan = []
+    for lv in range(1, int(level.max(initial=0)) + 1):
+        groups = {}
+        for kind in ("sum", "product"):
+            nodes = [i for i in np.flatnonzero(level == lv) if network.nodes[i].kind == kind]
+            if not nodes:
+                continue
+            chunks = [network.child_edges(int(i)) for i in nodes]
+            edges = np.concatenate(chunks)
+            groups[kind] = (
+                np.asarray(nodes, dtype=np.int32),
+                edges,
+                network.edge_child[edges],
+                np.cumsum([0] + [len(c) for c in chunks[:-1]]),
+                np.repeat(np.arange(len(nodes)), [len(c) for c in chunks]),
+            )
+        plan.append(groups)
+    return plan
+
+
+def preset_networks():
+    """Hierarchical and flat class networks of every preset generator (strips
+    at the benchmark's 3x6 size), with random weights, some of them zero."""
+    rng = np.random.default_rng(7)
+    specs = [preset_spec(name, 12) for name in ("mirror", "split", "shared")]
+    specs.append(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=12))
+    out = []
+    for spec in specs:
+        ds = generate_synthetic(spec, np.random.default_rng(0))
+        klass = ds.classes[0]
+        config = StructureConfig(seed=0, s=2, D=1)
+        nets = [build_flat_network(ds, klass, config)]
+        if spec.vocabulary_size <= 8:
+            nets.append(build_class_network(learn_partition_tree(ds, klass, config), ds, klass, config))
+        for net in nets:
+            sums = np.flatnonzero([net.nodes[int(p)].kind == "sum" for p in net.edge_parent])
+            net.edge_weight[sums] = rng.random(len(sums)) * (rng.random(len(sums)) > 0.1)
+            out.append((net, ds.records))
+    return out
+
+
+def test_evaluation_plan_matches_loop_reference(rng):
+    nets = [random_network(rng, max_parts=6, max_pairs=3) for _ in range(30)]
+    for net in nets + [net for net, _ in preset_networks()]:
+        plan, want = net._evaluation_plan(), reference_plan(net)
+        assert len(plan) == len(want)
+        for groups, ref in zip(plan, want):
+            assert groups.keys() == ref.keys()
+            for kind in ref:
+                for got, expected in zip(groups[kind], ref[kind]):
+                    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+# ------------------------------------------------------ batched forward pass
+
+
+def reference_forward(network, row, mode):
+    """One image at a time: per-leaf reads, then 1-D segment reductions."""
+    plan = reference_plan(network)
+    logv = np.zeros(network.num_nodes)
+    leaves, values = [], []
+    for nid, nd in enumerate(network.nodes):
+        if nd.kind == "part":
+            values.append(row[2 * nd.part ** 2 + (0 if nd.positive else 1)])
+        elif nd.kind == "spatial":
+            a, b = nd.pair
+            values.append(row[2 * b * b + 2 + 4 * a + int(nd.relation)])
+        else:
+            continue
+        leaves.append(nid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logv[leaves] = np.log(np.asarray(values))
+        logw = np.log(network.edge_weight)
+        for groups in plan:
+            if "product" in groups:
+                nodes, _, children, seg_starts, _ = groups["product"]
+                logv[nodes] = np.add.reduceat(logv[children], seg_starts)
+            if "sum" in groups:
+                nodes, edges, children, seg_starts, seg_ids = groups["sum"]
+                scores = logw[edges] + logv[children]
+                maxima = np.maximum.reduceat(scores, seg_starts)
+                if mode == "sum":
+                    dead = np.isneginf(maxima)
+                    shifted = scores - maxima[seg_ids]
+                    shifted[dead[seg_ids]] = 0.0
+                    maxima = maxima + np.log(np.add.reduceat(np.exp(shifted), seg_starts))
+                    maxima[dead] = -np.inf
+                logv[nodes] = maxima
+    return logv
+
+
+@pytest.mark.parametrize("mode", ["sum", "max"])
+def test_batched_forward_is_bit_identical_to_per_image_reference(rng, mode, monkeypatch):
+    cases = []
+    for _ in range(20):
+        net = random_network(rng, max_parts=6, max_pairs=3)
+        records = random_records(rng, 7, net.part_span)
+        cases.append((net, encode_records(records, net.part_span)))
+    for net, records in preset_networks():
+        evidence = encode_records(records[:9], net.part_span)
+        fractional = rng.choice([0.0, 0.3, 1.0, rng.random()], size=(4, evidence.shape[1]))
+        cases.append((net, np.vstack([evidence, fractional])))
+    for net, evidence in cases:
+        want = np.stack([reference_forward(net, row, mode) for row in evidence])
+        assert _forward(net, evidence, mode).tobytes() == want.tobytes()
+        for i, row in enumerate(evidence):
+            assert _forward(net, evidence[i:i + 1], mode).tobytes() == want[i].tobytes()
+        # three rows per block: the last block is split mid-batch
+        monkeypatch.setattr(network_module, "ROW_BLOCK_ELEMENTS", 3 * max(1, net.num_edges))
+        assert _forward(net, evidence, mode).tobytes() == want.tobytes()
+        monkeypatch.undo()
+
+
+def test_batched_forward_peak_memory_is_bounded():
+    ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
+                            np.random.default_rng(0))
+    net = build_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
+    evidence = encode_records(ds.records[:120], ds.vocabulary_size)
+    _forward(net, evidence[:1], "sum")  # compile the plan outside the trace
+    tracemalloc.start()
+    try:
+        _forward(net, evidence, "sum")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.num_edges > 25_000 and len(evidence) == 120
+    assert peak < 8e6

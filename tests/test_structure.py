@@ -5,7 +5,7 @@ import pytest
 
 from spatialspn.data import generate_synthetic, mirror_pair_spec, split_grid_spec, strip_grid_spec
 from spatialspn.errors import InsufficientDataError
-from spatialspn.network import evaluate, indicators_for_network, serialize, validate
+from spatialspn.network import assignment_to_indicators, evaluate, serialize, validate
 from spatialspn.structure import (
     Partition,
     PartitionTree,
@@ -186,7 +186,7 @@ def test_built_network_validates_and_evaluates():
     net = build_class_network(tree, ds, "west", config(s=2, D=2))
     assert validate(net).ok
     for record in ds.records[:10]:
-        result = evaluate(net, indicators_for_network(net, record))
+        result = evaluate(net, assignment_to_indicators(record, ds.vocabulary_size))
         assert not np.isnan(result.root_log_value)
 
 
@@ -287,8 +287,8 @@ def test_sharing_soundness_same_value():
     net_b = build_class_network(manual_tree(partition, cfg), ds, "c", cfg)
     find_shared_structures([net_a, net_b])
     record = ds.records[0]
-    va = evaluate(net_a, indicators_for_network(net_a, record)).root_value
-    vb = evaluate(net_b, indicators_for_network(net_b, record)).root_value
+    va = evaluate(net_a, assignment_to_indicators(record, ds.vocabulary_size)).root_value
+    vb = evaluate(net_b, assignment_to_indicators(record, ds.vocabulary_size)).root_value
     assert va == pytest.approx(vb, rel=1e-12)
 
 
