@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, TraversalMismatchError
+from .errors import ContractViolationError, DegenerateNodeError, TraversalMismatchError
 from .network import (
     PRODUCT,
+    ROW_BLOCK_ELEMENTS,
     SUM,
     EvaluationResult,
     IndicatorValues,
@@ -74,37 +75,62 @@ def _check_query_marginalized(evidence: IndicatorValues, query) -> None:
             raise ContractViolationError(f"unknown variable kind {kind!r}")
 
 
-def _backtrack(network: Network, log_values: np.ndarray):
-    """Top-down traversal of the selected tree.
+def _backtrack(network: Network, log_values: np.ndarray, root_counts=None):
+    """Top-down traversal of the selected trees of (rows, nodes) max-pass
+    log values, level by level over the evaluation plan.
 
     Max nodes follow their argmax child (ties broken by lowest child id with
-    an absolute tolerance on the log score); product nodes follow all
-    children. Node counts propagate multiplicatively through shared nodes.
-    """
-    with np.errstate(divide="ignore"):
-        logw = np.log(network.edge_weight)
-    node_counts = np.zeros(network.num_nodes, dtype=np.int64)
+    an absolute tolerance on the log score, then by child-edge order);
+    product nodes follow all children. Each row's root starts with its
+    `root_counts` entry (default 1) and counts propagate multiplicatively
+    through shared nodes. Returns the node and edge counts summed over rows,
+    so rows with roots +1 and -1 give the count difference. Raises
+    DegenerateNodeError when a reached max node has no comparable score
+    (a NaN)."""
+    plan = network._evaluation_plan()
+    n = network.num_nodes
+    rows = len(log_values)
+    root_counts = np.ones(rows, dtype=np.int64) if root_counts is None else np.asarray(root_counts)
+    node_counts = np.zeros(n, dtype=np.int64)
     edge_counts = np.zeros(network.num_edges, dtype=np.int64)
-    node_counts[network.root] = 1
-    order = network.topological_order()[::-1]  # parents before children
-    for node in order:
-        count = node_counts[node]
-        if count == 0:
-            continue
-        nd = network.nodes[node]
-        if nd.kind == PRODUCT:
-            edges = network.child_edges(int(node))
-            edge_counts[edges] += count
-            np.add.at(node_counts, network.edge_child[edges], count)
-        elif nd.kind == SUM:
-            edges = network.child_edges(int(node))
-            scores = logw[edges] + log_values[network.edge_child[edges]]
-            best = scores.max()
-            candidates = edges[scores >= best - TIE_TOLERANCE]
-            children = network.edge_child[candidates]
-            chosen = candidates[np.argmin(children)]
-            edge_counts[chosen] += count
-            node_counts[network.edge_child[chosen]] += count
+    step = max(1, ROW_BLOCK_ELEMENTS // max(1, network.num_edges))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.log(network.edge_weight)
+    for lo in range(0, rows, step):
+        block = log_values[lo:lo + step]
+        b = len(block)
+        # integer counts, held exactly in float64 (the dtype np.bincount sums in)
+        counts = np.zeros((b, n))
+        counts[:, network.root] = root_counts[lo:lo + step]
+        row_base = (np.arange(b) * n)[:, None]
+        for groups in reversed(plan):
+            if PRODUCT in groups:
+                nodes, edges, children, _, seg_ids = groups[PRODUCT]
+                passed = counts[:, nodes[seg_ids]]
+                edge_counts[edges] += passed.sum(axis=0).astype(np.int64)
+                counts += np.bincount((row_base + children).ravel(), passed.ravel(),
+                                      b * n).reshape(b, n)
+            if SUM in groups:
+                nodes, edges, children, seg_starts, seg_ids = groups[SUM]
+                passed = counts[:, nodes]
+                scores = logw[edges] + block[:, children]
+                best = np.maximum.reduceat(scores, seg_starts, axis=1)
+                candidate = scores >= (best - TIE_TOLERANCE)[:, seg_ids]
+                # lowest child id first, then the first such edge in child-edge order
+                width = len(edges)
+                keys = np.where(candidate, children.astype(np.int64) * width + np.arange(width),
+                                n * width)
+                chosen = np.minimum.reduceat(keys, seg_starts, axis=1)
+                stuck = (chosen == n * width) & (passed != 0)
+                if stuck.any():
+                    bad = int(nodes[stuck.any(axis=0)].min())
+                    raise DegenerateNodeError(f"max node {bad} has a NaN score and no argmax child")
+                chosen %= width
+                edge_counts[edges] += np.bincount(chosen.ravel(), passed.ravel(),
+                                                  width).astype(np.int64)
+                counts += np.bincount((row_base + children[chosen]).ravel(), passed.ravel(),
+                                      b * n).reshape(b, n)
+        node_counts += counts.sum(axis=0).astype(np.int64)
     return node_counts, edge_counts
 
 
@@ -121,7 +147,7 @@ def mpe(network: Network, evidence: IndicatorValues, query=()) -> MpeResult:
     _check_query_marginalized(evidence, query)
 
     result = max_evaluate(network, evidence)
-    node_counts, edge_counts = _backtrack(network, result.log_values)
+    node_counts, edge_counts = _backtrack(network, result.log_values[None])
 
     assignment = evidence.copy()
     unconstrained = set()

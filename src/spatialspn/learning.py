@@ -126,12 +126,12 @@ def generative_train(network: Network, positives: list[ImageRecord], config: Tra
     evidence = encode_records(positives, network.part_span)
     previous = None
     for epoch in range(config.generative_epochs):
-        counts = np.zeros(network.num_edges, dtype=np.int64)
+        log_values = _forward(network, evidence, "max")
+        counts = _backtrack(network, log_values)[1]
         total_log = 0.0
-        for log_values in _forward(network, evidence, "max"):
-            counts += _backtrack(network, log_values)[1]
-            # summed in image order: np.sum pairs terms and would change train.log
-            total_log += float(log_values[network.root])
+        # summed in image order: np.sum pairs terms and would change train.log
+        for value in log_values[:, network.root].tolist():
+            total_log += value
         mean_log = total_log / len(positives)
         if log_lines is not None:
             log_lines.append(
@@ -217,28 +217,28 @@ def _check_finite_root(network: Network, log_values: np.ndarray) -> None:
         raise TrainingError(f"NaN value at node {bad} ({network.nodes[bad].kind})")
 
 
-def _margin_update(network: Network, image_pos, image_neg, rate: float,
+def _margin_update(network: Network, evidence: np.ndarray, ids, rate: float,
                    deferred: dict | None = None, update_counts: dict | None = None) -> MarginRecord:
-    """One stochastic margin step; returns the pair's MarginRecord.
+    """One stochastic margin step on two evidence rows (positive, negative)
+    of the images named by `ids`; returns the pair's MarginRecord.
 
     Edges listed in `deferred` are not touched; their gradient contributions
     accumulate there instead (joint training applies them later). Satisfied
     pairs change nothing."""
-    evidence = encode_records([image_pos, image_neg], network.part_span)
     logv = _forward(network, evidence, "sum")
     _check_finite_root(network, logv[0])
     _check_finite_root(network, logv[1])
     v_pos, v_neg = float(logv[0, network.root]), float(logv[1, network.root])
     slack = _hinge_slack(v_pos, v_neg)
-    record = MarginRecord(image_pos.id, image_neg.id, slack)
+    record = MarginRecord(ids[0], ids[1], slack)
     if slack == 0.0:
         return record
     if math.isinf(v_pos):
         # the positive image scores a structural zero; no gradient exists
         return record
 
-    best = _forward(network, evidence, "max")
-    delta = _backtrack(network, best[0])[1] - _backtrack(network, best[1])[1]
+    # roots +1 and -1: the summed edge counts are t_pos - t_neg
+    delta = _backtrack(network, _forward(network, evidence, "max"), (1, -1))[1]
     touched = set()
     for edge in np.flatnonzero(delta).tolist():
         dt = int(delta[edge])
@@ -262,7 +262,8 @@ def _margin_update(network: Network, image_pos, image_neg, rate: float,
 def discriminative_step(network: Network, image_pos, image_neg, rate: float) -> MarginRecord:
     """Public single-pair update: hinge slack from the sum network, gradient
     from the max network, weights floored and renormalized per sum node."""
-    return _margin_update(network, image_pos, image_neg, rate)
+    evidence = encode_records([image_pos, image_neg], network.part_span)
+    return _margin_update(network, evidence, (image_pos.id, image_neg.id), rate)
 
 
 # ----------------------------------------------------------- training driver
@@ -277,13 +278,14 @@ def _split_fit_dev(records, rng):
     return fit, dev
 
 
-def _mean_dev_margin(network: Network, dev_pos, dev_neg) -> float:
-    evidence = encode_records(dev_pos + dev_neg, network.part_span)
+def _mean_dev_margin(network: Network, evidence: np.ndarray, n_pos: int) -> float:
+    """Mean hinge slack over every (positive, negative) pair of dev rows; the
+    first `n_pos` evidence rows are the positives."""
     scores = _forward(network, evidence, "sum")[:, network.root].tolist()
-    negative_scores = scores[len(dev_pos):]
+    negative_scores = scores[n_pos:]
     total = 0.0
     n = 0
-    for vp in scores[:len(dev_pos)]:
+    for vp in scores[:n_pos]:
         for vn in negative_scores:
             total += _hinge_slack(vp, vn)
             n += 1
@@ -314,6 +316,16 @@ def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config
         by_class_fit[klass] = fit
         by_class_dev[klass] = dev
 
+    def others(by_class, klass):
+        return [r for k in classes if k != klass for r in by_class[k]]
+
+    # every class's positives, negatives and dev images, encoded once per
+    # stage, wide enough for every network
+    span = max([dataset.vocabulary_size] + [net.part_span for net in networks.values()])
+    fit_rows = {k: encode_records(by_class_fit[k], span) for k in classes}
+    negative_rows = {k: encode_records(others(by_class_fit, k), span) for k in classes}
+    dev_rows = {k: encode_records(by_class_dev[k] + others(by_class_dev, k), span) for k in classes}
+
     best = {klass: math.inf for klass in classes}
     stall = {klass: 0 for klass in classes}
     active = set(classes)
@@ -329,7 +341,7 @@ def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config
             network = networks[klass]
             rng = np.random.default_rng((config.seed, 13, hash_str(klass), epoch))
             positives = by_class_fit[klass]
-            negatives = [r for k in classes if k != klass for r in by_class_fit[k]]
+            negatives = others(by_class_fit, klass)
             if not positives or not negatives:
                 raise InsufficientDataError(f"class {klass!r} lacks positives or negatives")
             n_pairs = min(config.max_pairs_per_epoch, len(positives) * len(negatives))
@@ -340,10 +352,11 @@ def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config
                 update_stats.setdefault(klass, {}) if update_stats is not None else None
             )
             for _ in range(n_pairs):
-                image_pos = positives[int(rng.integers(len(positives)))]
-                image_neg = negatives[int(rng.integers(len(negatives)))]
+                i = int(rng.integers(len(positives)))
+                j = int(rng.integers(len(negatives)))
                 record = _margin_update(
-                    network, image_pos, image_neg, config.learning_rate,
+                    network, np.stack([fit_rows[klass][i], negative_rows[klass][j]]),
+                    (positives[i].id, negatives[j].id), config.learning_rate,
                     deferred=deferred, update_counts=update_counts,
                 )
                 slack_total += record.slack
@@ -381,8 +394,7 @@ def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config
                 update_stats["group_hits"][group_idx] += hits
 
         for klass in list(active):
-            margin = _mean_dev_margin(networks[klass], by_class_dev[klass],
-                                      [r for k in classes if k != klass for r in by_class_dev[k]])
+            margin = _mean_dev_margin(networks[klass], dev_rows[klass], len(by_class_dev[klass]))
             if margin < best[klass] - 1e-9:
                 best[klass] = margin
                 stall[klass] = 0

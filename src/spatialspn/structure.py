@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractViolationError, InsufficientDataError
-from .network import ONE, PART, PRODUCT, SPATIAL, SUM, Network, NetworkBuilder, validate
+from .network import ONE, PART, PRODUCT, ROW_BLOCK_ELEMENTS, SPATIAL, SUM, Network, NetworkBuilder, validate
 from .spatial import Relation, add_gadget
 
 log = logging.getLogger(__name__)
@@ -305,18 +305,20 @@ def _train_split(labels: np.ndarray, seed: int):
 
 
 def _logistic_fit(x, y, l2=1e-3, iters=300, lr=1.0):
-    """Deterministic full-batch gradient descent with balanced class weights."""
-    n, d = x.shape
-    xb = np.hstack([x, np.ones((n, 1))])
-    w = np.zeros(d + 1)
+    """Deterministic full-batch gradient descent with balanced class weights:
+    one fit per leading slice of x (fits, n, d), all against the labels y.
+    The stacked matmuls give each fit the bytes of fitting it alone."""
+    fits, n, d = x.shape
+    xb = np.concatenate([x, np.ones((fits, n, 1))], axis=2)
+    w = np.zeros((fits, d + 1))
     pos = max(y.sum(), 1.0)
     neg = max(n - y.sum(), 1.0)
     sample_w = np.where(y == 1, n / (2.0 * pos), n / (2.0 * neg))
     for _ in range(iters):
-        z = xb @ w
+        z = np.matmul(xb, w[:, :, None])[:, :, 0]
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
-        grad = xb.T @ (sample_w * (p - y)) / n
-        grad[:-1] += l2 * w[:-1]
+        grad = np.matmul((sample_w * (p - y))[:, None, :], xb)[:, 0, :] / n
+        grad[:, :-1] += l2 * w[:, :-1]
         w -= lr * grad
     return w
 
@@ -330,9 +332,11 @@ def _balanced_accuracy(y_true, y_pred) -> float:
     return float(np.mean(accs)) if accs else 0.0
 
 
-def score_partition(partition: Partition, dataset: Dataset, klass: str, seed: int = 0,
-                    table=None) -> PartitionScore:
-    """Held-out balanced accuracy of a linear classifier on region activations.
+def _score_partitions(partitions, dataset: Dataset, klass: str, seed: int,
+                      table=None) -> list[PartitionScore]:
+    """Held-out balanced accuracy of a linear classifier on region activations,
+    per partition. The partitions share their child count; their fits run as
+    stacked descents in blocks of about ROW_BLOCK_ELEMENTS feature values.
 
     The 70/30 split is stratified and derived from the seed alone, so every
     candidate partition is judged on the same split."""
@@ -344,12 +348,27 @@ def score_partition(partition: Partition, dataset: Dataset, klass: str, seed: in
         )
     if labels.sum() == len(labels):
         raise InsufficientDataError(f"class {klass!r} has no negative images")
-    features = _region_features(partition, dataset, records, table)
+    table = table if table is not None else _detection_table(records)
     train = _train_split(labels, seed)
-    w = _logistic_fit(features[train], labels[train])
-    held_x = np.hstack([features[~train], np.ones((int((~train).sum()), 1))])
-    pred = (held_x @ w > 0).astype(float)
-    return PartitionScore(partition, _balanced_accuracy(labels[~train], pred))
+    width = len(partitions[0].children) * dataset.vocabulary_size + 1
+    step = max(1, ROW_BLOCK_ELEMENTS // (int(train.sum()) * width))
+    scores = []
+    for lo in range(0, len(partitions), step):
+        block = partitions[lo:lo + step]
+        features = np.stack([_region_features(p, dataset, records, table) for p in block])
+        weights = _logistic_fit(features[:, train], labels[train])
+        for partition, held, w in zip(block, features[:, ~train], weights):
+            held_x = np.hstack([held, np.ones((len(held), 1))])
+            pred = (held_x @ w > 0).astype(float)
+            scores.append(PartitionScore(partition, _balanced_accuracy(labels[~train], pred)))
+    return scores
+
+
+def score_partition(partition: Partition, dataset: Dataset, klass: str, seed: int = 0,
+                    table=None) -> PartitionScore:
+    """Held-out balanced accuracy of a linear classifier on one partition's
+    region activations (see _score_partitions)."""
+    return _score_partitions([partition], dataset, klass, seed, table)[0]
 
 
 # ------------------------------------------------------------------ learning
@@ -370,10 +389,7 @@ def learn_partition_tree(dataset: Dataset, klass: str, config: StructureConfig) 
         candidates = sample_partitions(region, config, rng)
         if not candidates:
             return node
-        scored = [
-            score_partition(p, dataset, klass, seed=config.seed, table=table)
-            for p in candidates
-        ]
+        scored = _score_partitions(candidates, dataset, klass, config.seed, table)
         scored.sort(key=lambda ps: (-ps.accuracy, ps.partition.digest()))
         for ps in scored[: config.m]:
             children = [expand(child, depth + 1) for child in ps.partition.children]

@@ -1,19 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spatialspn.errors import ContractViolationError, TraversalMismatchError
-from spatialspn.inference import _backtrack, mpe, traversal_difference
+import spatialspn.inference as inference_module
+from spatialspn.data import generate_synthetic, strip_grid_spec
+from spatialspn.errors import ContractViolationError, DegenerateNodeError, TraversalMismatchError
+from spatialspn.inference import TIE_TOLERANCE, _backtrack, mpe, traversal_difference
 from spatialspn.network import (
     IndicatorValues,
     NetworkBuilder,
+    _forward,
+    encode_records,
     evaluate,
     max_evaluate,
     normalize_weights,
 )
 from spatialspn.oracle import brute_force_mpe, random_evidence, random_network
 from spatialspn.spatial import Relation
+from spatialspn.structure import StructureConfig, build_flat_network
 
-from conftest import one_hot
+from conftest import chain_network, one_hot
+from test_network import preset_networks, random_records
 
 
 def marginalized_second():
@@ -144,7 +152,7 @@ def test_unconstrained_query_flagged():
 def reference_query_resolution(network, evidence, query):
     """Per-leaf hit counting: most hits wins, ties go to the positive
     polarity or the lowest relation; a variable never hit is unconstrained."""
-    node_counts, _ = _backtrack(network, max_evaluate(network, evidence).log_values)
+    node_counts, _ = _backtrack(network, max_evaluate(network, evidence).log_values[None])
     part_hits, pair_hits = {}, {}
     for nid, nd in enumerate(network.nodes):
         count = int(node_counts[nid])
@@ -230,3 +238,178 @@ def test_multi_parent_counts_multiply():
     # the winning leaf edge is traversed exactly once along the chain
     leaf_edges = [e for e in range(net.num_edges) if net.edge_parent[e] == shared]
     assert result.traversal.counts[leaf_edges].sum() == 1
+
+
+# ------------------------------------------------------ level-wise backtrack
+
+
+def reference_backtrack(network, log_values):
+    """One row of max-pass log values at a time: the per-node loop over the
+    reversed topological order."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(network.edge_weight)
+    node_counts = np.zeros(network.num_nodes, dtype=np.int64)
+    edge_counts = np.zeros(network.num_edges, dtype=np.int64)
+    node_counts[network.root] = 1
+    for node in network.topological_order()[::-1]:
+        count = node_counts[node]
+        if count == 0:
+            continue
+        edges = network.child_edges(int(node))
+        if network.nodes[node].kind == "product":
+            edge_counts[edges] += count
+            np.add.at(node_counts, network.edge_child[edges], count)
+        elif network.nodes[node].kind == "sum":
+            scores = logw[edges] + log_values[network.edge_child[edges]]
+            candidates = edges[scores >= scores.max() - TIE_TOLERANCE]
+            chosen = candidates[np.argmin(network.edge_child[candidates])]
+            edge_counts[chosen] += count
+            node_counts[network.edge_child[chosen]] += count
+    return node_counts, edge_counts
+
+
+def random_dag(rng, leaves=5, internal=12):
+    """A DAG of part leaves and sum/product nodes whose children are drawn
+    with replacement from every earlier node: shared nodes, duplicate edges
+    to one child and zero weights all occur. It need not be a valid SPN."""
+    b = NetworkBuilder()
+    nodes = [b.part(int(p), bool(rng.integers(2))) for p in rng.permutation(leaves)]
+    for _ in range(internal):
+        is_sum = rng.random() < 0.6
+        node = b.sum() if is_sum else b.product()
+        for child in rng.choice(nodes, size=int(rng.integers(1, 5))):
+            b.edge(node, int(child), float(rng.choice([0.0, 0.5, 1.0])) if is_sum else None)
+        nodes.append(node)
+    return b.build(root=nodes[-1])
+
+
+def tie_prone_values(rng, network, rows):
+    """Log values drawn from a few levels that sit at, just beyond and far
+    beyond TIE_TOLERANCE of each other, with -inf for dead children."""
+    levels = [0.0, -TIE_TOLERANCE, -TIE_TOLERANCE * 1.5, -2 * TIE_TOLERANCE, -1.0, -np.inf]
+    return rng.choice(levels, size=(rows, network.num_nodes))
+
+
+def backtrack_cases(rng):
+    cases = []
+    for _ in range(20):
+        net = random_network(rng, max_parts=6, max_pairs=3)
+        evidence = encode_records(random_records(rng, 7, net.part_span), net.part_span)
+        cases.append((net, _forward(net, evidence, "max")))
+    for net, records in preset_networks():
+        cases.append((net, _forward(net, encode_records(records[:9], net.part_span), "max")))
+    for _ in range(40):
+        net = random_dag(rng)
+        cases.append((net, tie_prone_values(rng, net, 7)))
+    return cases
+
+
+def test_backtrack_matches_per_node_reference(rng, monkeypatch):
+    for net, log_values in backtrack_cases(rng):
+        want = [reference_backtrack(net, row) for row in log_values]
+        for i, (nodes, edges) in enumerate(want):
+            got = _backtrack(net, log_values[i:i + 1])
+            assert np.array_equal(got[0], nodes) and np.array_equal(got[1], edges)
+        # B=N, each root weighted; three rows per block splits the last block
+        weights = rng.integers(-3, 4, size=len(log_values))
+        summed = (sum(w * nodes for w, (nodes, _) in zip(weights, want)),
+                  sum(w * edges for w, (_, edges) in zip(weights, want)))
+        for block_rows in (None, 3):
+            if block_rows:
+                monkeypatch.setattr(inference_module, "ROW_BLOCK_ELEMENTS",
+                                    block_rows * max(1, net.num_edges))
+            got = _backtrack(net, log_values, weights)
+            assert got[0].dtype == got[1].dtype == np.int64
+            assert np.array_equal(got[0], summed[0]) and np.array_equal(got[1], summed[1])
+            monkeypatch.undo()
+        unweighted = _backtrack(net, log_values)
+        assert np.array_equal(unweighted[1], sum(edges for _, edges in want))
+
+
+def two_leaf_sum():
+    b = NetworkBuilder()
+    root = b.sum()
+    low, high = b.part(0, True), b.part(0, False)
+    b.edge(root, high, 1.0)
+    b.edge(root, low, 1.0)
+    return b.build(root=root), low, high
+
+
+@pytest.mark.parametrize("gap, winner", [
+    (0.0, "low"),
+    (TIE_TOLERANCE, "low"),  # at the tolerance: a tie, the lower child id wins
+    (TIE_TOLERANCE * 1.5, "high"),  # just beyond it: the best score wins
+])
+def test_backtrack_tie_tolerance(gap, winner):
+    net, low, high = two_leaf_sum()
+    log_values = np.zeros((1, net.num_nodes))
+    log_values[0, low] = -gap
+    nodes, edges = _backtrack(net, log_values)
+    chosen = {"low": low, "high": high}[winner]
+    assert nodes[chosen] == 1 and nodes[low + high - chosen] == 0
+    assert edges.tolist() == [int(chosen == high), int(chosen == low)]
+    ref = reference_backtrack(net, log_values[0])
+    assert np.array_equal(nodes, ref[0]) and np.array_equal(edges, ref[1])
+
+
+def test_backtrack_duplicate_edges_and_shared_nodes():
+    b = NetworkBuilder()
+    root = b.product()
+    shared = b.sum()
+    leaf = b.part(0, True)
+    b.edge(shared, leaf, 0.5)
+    b.edge(shared, leaf, 0.5)  # a duplicate edge to the same child: the first wins
+    b.edge(shared, b.part(0, False), 0.5)
+    left, right = b.product(), b.product()
+    for parent in (left, right, root):
+        b.edge(parent, shared)
+    b.edge(root, left)
+    b.edge(root, right)
+    net = b.build(root=root)
+    log_values = np.zeros((2, net.num_nodes))
+    log_values[:, 3] = -np.inf  # the negative leaf is dead
+    nodes, edges = _backtrack(net, log_values)
+    assert nodes[shared] == 2 * 3  # reached from root, left and right in both rows
+    assert edges[:3].tolist() == [6, 0, 0]
+    for row in log_values:
+        ref = reference_backtrack(net, row)
+        assert np.array_equal(ref[1] * 2, edges)
+
+
+def test_backtrack_dead_segment_follows_lowest_child():
+    net, low, high = two_leaf_sum()
+    log_values = np.full((1, net.num_nodes), -np.inf)
+    nodes, edges = _backtrack(net, log_values)
+    assert nodes[low] == 1 and edges.tolist() == [0, 1]
+
+
+def test_mpe_raises_typed_error_on_nan_score():
+    net, mid = chain_network()
+    net.edge_weight[net.child_edges(mid)] = np.nan
+    with pytest.raises(DegenerateNodeError, match=r"max node \d+"):
+        mpe(net, one_hot(True, False))
+    # a NaN below a node no row reaches is never consulted
+    b = NetworkBuilder()
+    root = b.sum()
+    b.edge(root, b.part(0, True), 1.0)
+    orphan = b.sum()
+    b.edge(orphan, b.part(0, False), 1.0)
+    net = b.build(root=root)
+    net.edge_weight[net.child_edges(orphan)] = np.nan
+    assert mpe(net, one_hot(True, False)).traversal.counts.tolist() == [1, 0]
+
+
+def test_batched_backtrack_peak_memory_is_bounded():
+    ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
+                            np.random.default_rng(0))
+    net = build_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
+    log_values = _forward(net, encode_records(ds.records[:120], ds.vocabulary_size), "max")
+    _backtrack(net, log_values[:1])  # compile the plan outside the trace
+    tracemalloc.start()
+    try:
+        _backtrack(net, log_values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.num_edges > 25_000 and len(log_values) == 120
+    assert peak < 8e6

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spatialspn.learning as learning_module
 from spatialspn import cli
 from spatialspn.data import (
     Dataset,
@@ -37,6 +38,7 @@ from spatialspn.network import (
     Network,
     NetworkBuilder,
     assignment_to_indicators,
+    encode_records,
     evaluate,
     normalize_weights,
     serialize,
@@ -44,7 +46,7 @@ from spatialspn.network import (
 )
 from spatialspn.oracle import random_evidence, random_network
 from spatialspn.spatial import Relation, build_pair_gadget
-from spatialspn.structure import StructureConfig
+from spatialspn.structure import StructureConfig, build_flat_network
 
 
 def left_pair_records(n=20, seed=0):
@@ -327,6 +329,44 @@ def test_nan_weight_aborts_with_node_name():
     net.edge_weight[net.child_edges(net.root)[0]] = float("nan")
     with pytest.raises(TrainingError, match="node"):
         discriminative_step(net, im([0]), im([], klass="d"), rate=0.1)
+
+
+def test_discriminative_stage_reads_the_rows_of_the_named_images(monkeypatch):
+    # the stage encodes its fit and dev sets once; every pair and dev margin
+    # must still see exactly the rows of its own images
+    ds = generate_synthetic(shared_halves_spec(images_per_class=10), np.random.default_rng(2))
+    classes = sorted(set(ds.classes))
+    config = TrainConfig(generative_epochs=1, discriminative_epochs=2, max_pairs_per_epoch=12,
+                         early_stop_patience=5, seed=3)
+    networks = {k: generative_train(build_flat_network(ds, k, StructureConfig(seed=0)),
+                                    ds.by_class(k), config) for k in classes}
+    span = max([ds.vocabulary_size] + [net.part_span for net in networks.values()])
+    by_id = {r.id: r for r in ds.records}
+    dev = {k: learning_module._split_fit_dev(
+        ds.by_class(k), np.random.default_rng((config.seed, 11, learning_module.hash_str(k))))[1]
+        for k in classes}
+    margin_update, mean_dev_margin = learning_module._margin_update, learning_module._mean_dev_margin
+    seen = {"pairs": 0, "dev": 0}
+
+    def checked_update(network, evidence, ids, *args, **kwargs):
+        pos, neg = by_id[ids[0]], by_id[ids[1]]
+        assert pos.klass == network.class_label != neg.klass
+        assert np.array_equal(evidence, encode_records([pos, neg], span))
+        seen["pairs"] += 1
+        return margin_update(network, evidence, ids, *args, **kwargs)
+
+    def checked_dev(network, evidence, n_pos):
+        klass = network.class_label
+        records = dev[klass] + [r for k in classes if k != klass for r in dev[k]]
+        assert n_pos == len(dev[klass])
+        assert np.array_equal(evidence, encode_records(records, span))
+        seen["dev"] += 1
+        return mean_dev_margin(network, evidence, n_pos)
+
+    monkeypatch.setattr(learning_module, "_margin_update", checked_update)
+    monkeypatch.setattr(learning_module, "_mean_dev_margin", checked_dev)
+    learning_module._discriminative_stage(networks, ds, config)
+    assert seen == {"pairs": 2 * 12 * len(classes), "dev": 2 * len(classes)}
 
 
 # ------------------------------------------------------------------ joint

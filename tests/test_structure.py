@@ -3,7 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spatialspn.data import generate_synthetic, mirror_pair_spec, split_grid_spec, strip_grid_spec
+import spatialspn.structure as structure_module
+from spatialspn.data import (
+    generate_synthetic,
+    mirror_pair_spec,
+    shared_halves_spec,
+    split_grid_spec,
+    strip_grid_spec,
+)
 from spatialspn.errors import InsufficientDataError
 from spatialspn.network import assignment_to_indicators, evaluate, serialize, validate
 from spatialspn.structure import (
@@ -11,6 +18,8 @@ from spatialspn.structure import (
     PartitionTree,
     Region,
     StructureConfig,
+    _logistic_fit,
+    _score_partitions,
     build_class_network,
     build_flat_network,
     build_naive_network,
@@ -123,6 +132,87 @@ def test_score_partition_needs_positives():
     planted = strip_partition(Region.whole(), "v", (8,))
     with pytest.raises(InsufficientDataError):
         score_partition(planted, ds, "missing-class", seed=0)
+
+
+def reference_logistic_fit(x, y, l2=1e-3, iters=300, lr=1.0):
+    """One candidate's (n, d) features at a time: the per-candidate loop."""
+    n, d = x.shape
+    xb = np.hstack([x, np.ones((n, 1))])
+    w = np.zeros(d + 1)
+    pos = max(y.sum(), 1.0)
+    neg = max(n - y.sum(), 1.0)
+    sample_w = np.where(y == 1, n / (2.0 * pos), n / (2.0 * neg))
+    for _ in range(iters):
+        z = xb @ w
+        p = 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
+        grad = xb.T @ (sample_w * (p - y)) / n
+        grad[:-1] += l2 * w[:-1]
+        w -= lr * grad
+    return w
+
+
+def test_stacked_fit_is_bit_identical_to_per_candidate_reference(rng):
+    for fits, n, d in ((5, 40, 6), (8, 97, 13), (3, 12, 2), (38, 280, 12)):
+        x = (rng.random((fits, n, d)) < rng.random()).astype(float)
+        x[:, :, 0] = 0.0  # an all-zero column
+        x[:, :, -1] = 1.0  # an all-one column
+        y = (rng.random(n) < 0.3).astype(float)
+        got = _logistic_fit(x, y)
+        for c in range(fits):
+            assert got[c].tobytes() == reference_logistic_fit(x[c], y).tobytes()
+        # the same candidates split across blocks
+        cut = fits // 2
+        split = np.concatenate([_logistic_fit(x[:cut], y), _logistic_fit(x[cut:], y)])
+        assert split.tobytes() == got.tobytes()
+
+
+def test_partition_scores_do_not_depend_on_blocking(monkeypatch):
+    ds = generate_synthetic(mirror_pair_spec(images_per_class=40), np.random.default_rng(3))
+    candidates = sample_partitions(Region.whole(), config(s=2, M=20), np.random.default_rng(0))
+    whole = _score_partitions(candidates, ds, ds.classes[0], seed=1)
+    train_rows = int(structure_module._train_split(
+        np.asarray([r.klass == ds.classes[0] for r in ds.records], dtype=float), 1).sum())
+    # three candidates per block: the last block is split mid-list
+    monkeypatch.setattr(structure_module, "ROW_BLOCK_ELEMENTS",
+                        3 * train_rows * (2 * ds.vocabulary_size + 1))
+    blocked = _score_partitions(candidates, ds, ds.classes[0], seed=1)
+    assert len(candidates) > 3
+    assert [(ps.partition, ps.accuracy) for ps in blocked] == [
+        (ps.partition, ps.accuracy) for ps in whole
+    ]
+    assert [score_partition(p, ds, ds.classes[0], seed=1).accuracy for p in candidates] == [
+        ps.accuracy for ps in whole
+    ]
+
+
+@pytest.mark.parametrize("spec", [
+    mirror_pair_spec(images_per_class=24),
+    shared_halves_spec(images_per_class=16),
+    strip_grid_spec(n_strips=3, parts_per_strip=4, images_per_class=24),
+])
+def test_learned_trees_match_per_candidate_reference(spec, monkeypatch):
+    def tree_lines(dataset, cfg):
+        out = []
+        for klass in sorted(set(dataset.classes)):
+            tree = learn_partition_tree(dataset, klass, cfg)
+            accuracies = []
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                for choice in node.partitions:
+                    accuracies.append(choice.accuracy)
+                    stack.extend(choice.children)
+            out.append((tree.partition_lines(), accuracies))
+        return out
+
+    ds = generate_synthetic(spec, np.random.default_rng(5))
+    for s in (2, 3):
+        cfg = config(s=s, M=8, m=2, D=2, seed=s)
+        stacked = tree_lines(ds, cfg)
+        monkeypatch.setattr(structure_module, "_logistic_fit",
+                            lambda x, y: np.stack([reference_logistic_fit(c, y) for c in x]))
+        assert tree_lines(ds, cfg) == stacked
+        monkeypatch.undo()
 
 
 # ------------------------------------------------------------------ trees
