@@ -103,6 +103,7 @@ class MarginRecord:
     positive_id: str
     negative_id: str
     slack: float
+    changed: bool = False  # whether the pair's step moved any weight
 
 
 # --------------------------------------------------------------- generative
@@ -217,26 +218,13 @@ def _check_finite_root(network: Network, log_values: np.ndarray) -> None:
         raise TrainingError(f"NaN value at node {bad} ({network.nodes[bad].kind})")
 
 
-def _margin_update(network: Network, evidence: np.ndarray, ids, rate: float,
-                   deferred: dict | None = None, update_counts: dict | None = None) -> MarginRecord:
-    """One stochastic margin step on two evidence rows (positive, negative)
-    of the images named by `ids`; returns the pair's MarginRecord.
-
-    Edges listed in `deferred` are not touched; their gradient contributions
-    accumulate there instead (joint training applies them later). Satisfied
-    pairs change nothing."""
-    logv = _forward(network, evidence, "sum")
-    _check_finite_root(network, logv[0])
-    _check_finite_root(network, logv[1])
-    v_pos, v_neg = float(logv[0, network.root]), float(logv[1, network.root])
-    slack = _hinge_slack(v_pos, v_neg)
-    record = MarginRecord(ids[0], ids[1], slack)
-    if slack == 0.0:
-        return record
-    if math.isinf(v_pos):
-        # the positive image scores a structural zero; no gradient exists
-        return record
-
+def _margin_step(network: Network, evidence: np.ndarray, slack: float, rate: float,
+                 deferred: dict | None = None, update_counts: dict | None = None) -> bool:
+    """The max-network step of one violated pair of evidence rows (positive,
+    negative): each sum edge moves by rate * slack * (t_pos - t_neg) / weight,
+    is floored, and its node is renormalized. Edges listed in `deferred` are
+    not touched; their steps accumulate there instead (joint training applies
+    them later). Returns whether any weight changed."""
     # roots +1 and -1: the summed edge counts are t_pos - t_neg
     delta = _backtrack(network, _forward(network, evidence, "max"), (1, -1))[1]
     touched = set()
@@ -256,6 +244,30 @@ def _margin_update(network: Network, evidence: np.ndarray, ids, rate: float,
         touched.add(parent)
     if touched:
         normalize_weights(network, sorted(touched))
+    return bool(touched)
+
+
+def _margin_update(network: Network, evidence: np.ndarray, ids, rate: float,
+                   deferred: dict | None = None, update_counts: dict | None = None,
+                   roots: tuple[float, float] | None = None) -> MarginRecord:
+    """One stochastic margin step on two evidence rows (positive, negative)
+    of the images named by `ids`; returns the pair's MarginRecord.
+
+    `roots` are the pair's log root values when the caller has scored them
+    under the current weights; otherwise one sum pass scores both rows.
+    Satisfied pairs, and positives that score a structural zero, change
+    nothing; any other pair takes `_margin_step`."""
+    if roots is None:
+        logv = _forward(network, evidence, "sum")
+        _check_finite_root(network, logv[0])
+        _check_finite_root(network, logv[1])
+        roots = logv[:, network.root].tolist()
+    v_pos, v_neg = roots
+    record = MarginRecord(ids[0], ids[1], _hinge_slack(v_pos, v_neg))
+    # a positive scoring a structural zero has no gradient
+    if record.slack > 0.0 and not math.isinf(v_pos):
+        record.changed = _margin_step(network, evidence, record.slack, rate,
+                                      deferred, update_counts)
     return record
 
 
@@ -292,15 +304,65 @@ def _mean_dev_margin(network: Network, evidence: np.ndarray, n_pos: int) -> floa
     return total / max(n, 1)
 
 
+def _margin_epoch(network: Network, rows: np.ndarray, ids: list[str], pairs: np.ndarray,
+                  rate: float, deferred: dict | None, update_counts: dict | None,
+                  counters: dict) -> tuple[float, int]:
+    """Margin steps over `pairs`, in order: (positive, negative) indices into
+    `rows` and `ids`. Returns the slack total and the violated-pair count.
+
+    Each row's log root value is cached under the current weights. Pairs are
+    taken in windows: one sum pass scores the uncached rows the next `width`
+    pairs need, `width` doubles after every window, and a weight change
+    clears the cache and restarts at width 1 from the next pair. Every
+    slack and step equals the one a sum pass per pair would give."""
+    roots = np.zeros(len(rows))
+    known = np.zeros(len(rows), dtype=bool)
+    slack_total, violations = 0.0, 0
+    k, width = 0, 1
+    while k < len(pairs):
+        window = pairs[k:k + width]
+        missing = np.unique(window[~known[window]])
+        if len(missing):
+            roots[missing] = _forward(network, rows[missing], "sum")[:, network.root]
+            known[missing] = True
+            counters["sum_passes"] += 1
+            counters["rows_scored"] += len(missing)
+        width *= 2
+        for a, b in window.tolist():
+            k += 1
+            for row in (a, b):
+                if math.isnan(roots[row]):
+                    # rescored alone, the row names its lowest NaN node
+                    _check_finite_root(network, _forward(network, rows[row:row + 1], "sum")[0])
+            v_pos, v_neg = float(roots[a]), float(roots[b])
+            slack = _hinge_slack(v_pos, v_neg)
+            if slack == 0.0:
+                continue
+            slack_total += slack
+            violations += 1
+            if math.isinf(v_pos):
+                continue  # a structural zero: no gradient exists
+            counters["updates"] += 1
+            record = _margin_update(network, rows[[a, b]], (ids[a], ids[b]), rate, deferred,
+                                    update_counts, roots=(v_pos, v_neg))
+            if record.changed:
+                known[:] = False
+                width = 1
+                break
+    return slack_total, violations
+
+
 def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config: TrainConfig,
                           shared_groups=None, log_lines: list[str] | None = None,
-                          update_stats: dict | None = None) -> None:
+                          update_stats: dict | None = None) -> dict[str, dict[str, int]]:
     """Margin training over all classes; joint handling of shared edges.
 
     Each class consumes its own seeded stream, so runs with no shared edges
     are bit-identical to fully independent per-class training. Shared-edge
     gradients accumulate across every class's pairs within an epoch and are
-    applied to all tied copies at the epoch end."""
+    applied to all tied copies at the epoch end. Returns per class the pair
+    loop's counts: pairs sampled, pairs violated, updates (violated pairs
+    whose positive scores above zero), sum passes and rows scored."""
     classes = sorted(networks)
     shared_map: dict[str, dict[int, int]] = {klass: {} for klass in classes}
     groups = shared_groups or []
@@ -319,12 +381,15 @@ def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config
     def others(by_class, klass):
         return [r for k in classes if k != klass for r in by_class[k]]
 
-    # every class's positives, negatives and dev images, encoded once per
-    # stage, wide enough for every network
+    # every class's pair images (its positives, then the other classes' fit
+    # images) and dev images, encoded once per stage, wide enough for every
+    # network
     span = max([dataset.vocabulary_size] + [net.part_span for net in networks.values()])
-    fit_rows = {k: encode_records(by_class_fit[k], span) for k in classes}
-    negative_rows = {k: encode_records(others(by_class_fit, k), span) for k in classes}
+    pair_records = {k: by_class_fit[k] + others(by_class_fit, k) for k in classes}
+    pair_rows = {k: encode_records(pair_records[k], span) for k in classes}
     dev_rows = {k: encode_records(by_class_dev[k] + others(by_class_dev, k), span) for k in classes}
+    counters = {k: dict.fromkeys(("pairs", "violated", "updates", "sum_passes", "rows_scored"), 0)
+                for k in classes}
 
     best = {klass: math.inf for klass in classes}
     stall = {klass: 0 for klass in classes}
@@ -338,30 +403,24 @@ def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config
         for klass in classes:
             if klass not in active:
                 continue
-            network = networks[klass]
             rng = np.random.default_rng((config.seed, 13, hash_str(klass), epoch))
-            positives = by_class_fit[klass]
-            negatives = others(by_class_fit, klass)
-            if not positives or not negatives:
+            n_pos = len(by_class_fit[klass])
+            n_neg = len(pair_records[klass]) - n_pos
+            if not n_pos or not n_neg:
                 raise InsufficientDataError(f"class {klass!r} lacks positives or negatives")
-            n_pairs = min(config.max_pairs_per_epoch, len(positives) * len(negatives))
+            n_pairs = min(config.max_pairs_per_epoch, n_pos * n_neg)
+            pairs = np.array([(int(rng.integers(n_pos)), n_pos + int(rng.integers(n_neg)))
+                              for _ in range(n_pairs)], dtype=np.int64).reshape(-1, 2)
             deferred = {edge: 0.0 for edge in shared_map[klass]} if groups else None
-            violations = 0
-            slack_total = 0.0
             update_counts = (
                 update_stats.setdefault(klass, {}) if update_stats is not None else None
             )
-            for _ in range(n_pairs):
-                i = int(rng.integers(len(positives)))
-                j = int(rng.integers(len(negatives)))
-                record = _margin_update(
-                    network, np.stack([fit_rows[klass][i], negative_rows[klass][j]]),
-                    (positives[i].id, negatives[j].id), config.learning_rate,
-                    deferred=deferred, update_counts=update_counts,
-                )
-                slack_total += record.slack
-                if record.slack > 0:
-                    violations += 1
+            slack_total, violations = _margin_epoch(
+                networks[klass], pair_rows[klass], [r.id for r in pair_records[klass]], pairs,
+                config.learning_rate, deferred, update_counts, counters[klass],
+            )
+            counters[klass]["pairs"] += n_pairs
+            counters[klass]["violated"] += violations
             if deferred:
                 for edge, step in deferred.items():
                     if step != 0.0:
@@ -402,6 +461,7 @@ def _discriminative_stage(networks: dict[str, Network], dataset: Dataset, config
                 stall[klass] += 1
                 if stall[klass] >= config.early_stop_patience:
                     active.discard(klass)
+    return counters
 
 
 def hash_str(text: str) -> int:
@@ -491,10 +551,8 @@ def train_all(dataset: Dataset, structure_config: StructureConfig,
         shared_groups = shared.groups
         _harmonize_shared_weights(networks, classes, shared_groups)
         log_lines.append(f"shared-edge groups: {len(shared_groups)}")
-        joint_train(networks, shared_groups, dataset, train_config, log_lines, update_stats)
-    else:
-        _discriminative_stage(networks, dataset, train_config, shared_groups=None,
-                              log_lines=log_lines, update_stats=update_stats)
+    stats["discriminative"] = _discriminative_stage(networks, dataset, train_config, shared_groups,
+                                                    log_lines, update_stats)
 
     return ModelBundle(
         vocabulary_size=dataset.vocabulary_size,

@@ -327,31 +327,38 @@ class Network:
         return self._leaf_slots().span
 
     def topological_order(self) -> np.ndarray:
-        """Node ids ordered children-first. Raises CycleError on cycles."""
+        """Node ids ordered children-first: by level (a childless node is
+        level 0, any other sits one above its highest child), then by id.
+        Raises CycleError on cycles."""
         if self._topo is not None:
             return self._topo
+        # frontier passes over the parent index: pass k takes the nodes whose
+        # children all left in earlier passes, so k is their level; nodes on
+        # or above a cycle never get there
         n = self.num_nodes
         remaining = np.bincount(self.edge_parent, minlength=n)
-        parent_index_order = np.argsort(self.edge_child, kind="stable")
-        p_edge = parent_index_order
-        p_parent = self.edge_parent[parent_index_order]
-        counts = np.bincount(self.edge_child, minlength=n)
+        by_child = np.argsort(self.edge_child, kind="stable")
+        p_parent = self.edge_parent[by_child]
         p_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=p_start[1:])
+        np.cumsum(np.bincount(self.edge_child, minlength=n), out=p_start[1:])
 
-        topo = []
-        stack = [i for i in range(n) if remaining[i] == 0]
-        while stack:
-            node = stack.pop()
-            topo.append(node)
-            for parent in p_parent[p_start[node]:p_start[node + 1]]:
-                remaining[parent] -= 1
-                if remaining[parent] == 0:
-                    stack.append(int(parent))
+        passes = []
+        frontier = np.flatnonzero(remaining == 0)
+        while len(frontier):
+            passes.append(frontier)
+            counts = p_start[frontier + 1] - p_start[frontier]
+            seg_starts = np.cumsum(counts) - counts
+            first = np.repeat(p_start[frontier] - seg_starts, counts)
+            parents = p_parent[first + np.arange(counts.sum())]
+            remaining -= np.bincount(parents, minlength=n)
+            hit = np.unique(parents)
+            frontier = hit[remaining[hit] == 0]
+        topo = np.concatenate(passes, dtype=np.int32) if passes else np.zeros(0, dtype=np.int32)
         if len(topo) != n:
             raise CycleError("network graph contains a cycle")
-        self._topo = np.asarray(topo, dtype=np.int32)
-        return self._topo
+        self._level_starts = np.cumsum([0] + [len(p) for p in passes])
+        self._topo = topo
+        return topo
 
     def _evaluation_plan(self):
         """Per level above the leaves (a node sits one above its highest
@@ -360,21 +367,13 @@ class Network:
         their children, where each node's run starts and each edge's node."""
         if self._plan is not None:
             return self._plan
-        self.topological_order()  # raises CycleError before levels are sought
-        n = self.num_nodes
+        topo = self.topological_order()  # raises CycleError
         fanout = np.diff(self._cs_start)
-        parents = np.flatnonzero(fanout)
-        level = np.zeros(n, dtype=np.int64)
-        while len(parents):
-            above = np.maximum.reduceat(level[self._cs_child], self._cs_start[parents]) + 1
-            if np.array_equal(above, level[parents]):
-                break
-            level[parents] = above
         kinds = np.array([nd.kind for nd in self.nodes])
 
         plan = []
-        for lv in range(1, int(level.max(initial=0)) + 1):
-            ids = np.flatnonzero(level == lv)
+        for lo, hi in zip(self._level_starts[1:-1], self._level_starts[2:]):
+            ids = topo[lo:hi]
             groups = {}
             for kind in (SUM, PRODUCT):
                 nodes = ids[kinds[ids] == kind].astype(np.int32)

@@ -35,8 +35,10 @@ from spatialspn.learning import (
     train_all,
 )
 from spatialspn.network import (
+    WEIGHT_FLOOR,
     Network,
     NetworkBuilder,
+    _forward,
     assignment_to_indicators,
     encode_records,
     evaluate,
@@ -332,11 +334,13 @@ def test_nan_weight_aborts_with_node_name():
 
 
 def test_discriminative_stage_reads_the_rows_of_the_named_images(monkeypatch):
-    # the stage encodes its fit and dev sets once; every pair and dev margin
-    # must still see exactly the rows of its own images
+    # the stage encodes its fit and dev sets once and scores pairs from a
+    # cache; every update and dev margin must still see exactly the rows, and
+    # every update the root values, of its own images (no generative epoch,
+    # so that pairs are violated and updates run)
     ds = generate_synthetic(shared_halves_spec(images_per_class=10), np.random.default_rng(2))
     classes = sorted(set(ds.classes))
-    config = TrainConfig(generative_epochs=1, discriminative_epochs=2, max_pairs_per_epoch=12,
+    config = TrainConfig(generative_epochs=0, discriminative_epochs=2, max_pairs_per_epoch=12,
                          early_stop_patience=5, seed=3)
     networks = {k: generative_train(build_flat_network(ds, k, StructureConfig(seed=0)),
                                     ds.by_class(k), config) for k in classes}
@@ -352,6 +356,8 @@ def test_discriminative_stage_reads_the_rows_of_the_named_images(monkeypatch):
         pos, neg = by_id[ids[0]], by_id[ids[1]]
         assert pos.klass == network.class_label != neg.klass
         assert np.array_equal(evidence, encode_records([pos, neg], span))
+        fresh = _forward(network, encode_records([pos, neg], span), "sum")[:, network.root]
+        assert list(kwargs["roots"]) == fresh.tolist()
         seen["pairs"] += 1
         return margin_update(network, evidence, ids, *args, **kwargs)
 
@@ -365,8 +371,252 @@ def test_discriminative_stage_reads_the_rows_of_the_named_images(monkeypatch):
 
     monkeypatch.setattr(learning_module, "_margin_update", checked_update)
     monkeypatch.setattr(learning_module, "_mean_dev_margin", checked_dev)
-    learning_module._discriminative_stage(networks, ds, config)
-    assert seen == {"pairs": 2 * 12 * len(classes), "dev": 2 * len(classes)}
+    counters = learning_module._discriminative_stage(networks, ds, config)
+    updates = sum(c["updates"] for c in counters.values())
+    assert updates > 0
+    assert seen == {"pairs": updates, "dev": 2 * len(classes)}
+
+
+# ------------------------------------------------- windowed pair scoring
+
+
+def reference_discriminative_stage(networks, dataset, config, shared_groups=None,
+                                   log_lines=None, update_stats=None):
+    """The per-pair loop: one sum pass over the two rows of every sampled
+    pair, then `_margin_update`'s step when the pair is violated."""
+    classes = sorted(networks)
+    shared_map = {klass: {} for klass in classes}
+    groups = shared_groups or []
+    for group_idx, group in enumerate(groups):
+        for net_idx, edge in group:
+            shared_map[classes[net_idx]][edge] = group_idx
+    by_class_fit, by_class_dev = {}, {}
+    for klass in classes:
+        rng = np.random.default_rng((config.seed, 11, learning_module.hash_str(klass)))
+        by_class_fit[klass], by_class_dev[klass] = learning_module._split_fit_dev(
+            dataset.by_class(klass), rng)
+
+    def others(by_class, klass):
+        return [r for k in classes if k != klass for r in by_class[k]]
+
+    span = max([dataset.vocabulary_size] + [net.part_span for net in networks.values()])
+    fit_rows = {k: encode_records(by_class_fit[k], span) for k in classes}
+    negative_rows = {k: encode_records(others(by_class_fit, k), span) for k in classes}
+    dev_rows = {k: encode_records(by_class_dev[k] + others(by_class_dev, k), span) for k in classes}
+    best = {klass: math.inf for klass in classes}
+    stall = {klass: 0 for klass in classes}
+    active = set(classes)
+    for epoch in range(config.discriminative_epochs):
+        if not active:
+            break
+        group_acc = [0.0] * len(groups)
+        group_hits = [0] * len(groups)
+        for klass in classes:
+            if klass not in active:
+                continue
+            network = networks[klass]
+            rng = np.random.default_rng((config.seed, 13, learning_module.hash_str(klass), epoch))
+            positives = by_class_fit[klass]
+            negatives = others(by_class_fit, klass)
+            n_pairs = min(config.max_pairs_per_epoch, len(positives) * len(negatives))
+            deferred = {edge: 0.0 for edge in shared_map[klass]} if groups else None
+            violations = 0
+            slack_total = 0.0
+            update_counts = update_stats.setdefault(klass, {}) if update_stats is not None else None
+            for _ in range(n_pairs):
+                i = int(rng.integers(len(positives)))
+                j = int(rng.integers(len(negatives)))
+                record = learning_module._margin_update(
+                    network, np.stack([fit_rows[klass][i], negative_rows[klass][j]]),
+                    (positives[i].id, negatives[j].id), config.learning_rate,
+                    deferred=deferred, update_counts=update_counts,
+                )
+                slack_total += record.slack
+                if record.slack > 0:
+                    violations += 1
+            if deferred:
+                for edge, step in deferred.items():
+                    if step != 0.0:
+                        group_acc[shared_map[klass][edge]] += step
+                        group_hits[shared_map[klass][edge]] += 1
+            if log_lines is not None:
+                log_lines.append(
+                    f"epoch {epoch} class {klass} stage discriminative "
+                    f"mean_margin {slack_total / max(n_pairs, 1):.9g} "
+                    f"violation_rate {violations / max(n_pairs, 1):.9g}"
+                )
+        touched_by_class = {klass: set() for klass in classes}
+        for group_idx, group in enumerate(groups):
+            step = group_acc[group_idx]
+            if step == 0.0:
+                continue
+            for net_idx, edge in group:
+                network = networks[classes[net_idx]]
+                network.edge_weight[edge] = max(WEIGHT_FLOOR, network.edge_weight[edge] + step)
+                touched_by_class[classes[net_idx]].add(int(network.edge_parent[edge]))
+        for klass, nodes in touched_by_class.items():
+            if nodes:
+                normalize_weights(networks[klass], sorted(nodes))
+        if update_stats is not None and groups:
+            update_stats.setdefault("group_hits", [0] * len(groups))
+            for group_idx, hits in enumerate(group_hits):
+                update_stats["group_hits"][group_idx] += hits
+        for klass in list(active):
+            margin = learning_module._mean_dev_margin(networks[klass], dev_rows[klass],
+                                                      len(by_class_dev[klass]))
+            if margin < best[klass] - 1e-9:
+                best[klass] = margin
+                stall[klass] = 0
+            else:
+                stall[klass] += 1
+                if stall[klass] >= config.early_stop_patience:
+                    active.discard(klass)
+
+
+def run_stage(stage, networks, dataset, config, groups=None):
+    """(weight bytes, log lines, update stats, error) of one stage run on a
+    copy of `networks`."""
+    nets = {k: net.copy() for k, net in networks.items()}
+    log_lines, update_stats, error = [], {}, None
+    try:
+        stage(nets, dataset, config, groups, log_lines, update_stats)
+    except TrainingError as exc:
+        error = str(exc)
+    return {k: n.edge_weight.tobytes() for k, n in nets.items()}, log_lines, update_stats, error
+
+
+def violation_rates(log_lines):
+    return [float(line.split()[-1]) for line in log_lines if "stage discriminative" in line]
+
+
+def stage_case(name):
+    """Networks after the generative stage and pruning, their shared groups,
+    the dataset and a discriminative config, for one comparison case."""
+    spec = {"ihs": mirror_pair_spec(images_per_class=30),
+            "jhs": shared_halves_spec(images_per_class=30, bg_rate=0.1, drop_rate=0.25),
+            "high": mirror_pair_spec(images_per_class=20),
+            "zero": shared_halves_spec(images_per_class=20, drop_rate=0.3)}[name]
+    mode = {"ihs": "ihs-spn", "jhs": "jhs-spn", "high": "spn", "zero": "spn"}[name]
+    ds = generate_synthetic(spec, np.random.default_rng(4))
+    bundle = train_all(ds, StructureConfig(seed=0, s=2, D=1),
+                       TrainConfig(seed=5, mode=mode, discriminative_epochs=0,
+                                   generative_epochs=0 if name == "high" else 3))
+    config = TrainConfig(seed=5, mode=mode, discriminative_epochs=3, max_pairs_per_epoch=150)
+    return bundle.networks, bundle.shared_groups, ds, config
+
+
+def zero_part_weight(network, part):
+    """Move the mass of every `part`-present leaf edge to its sibling: an
+    image with the part then scores a structural zero."""
+    for edge in range(network.num_edges):
+        child = network.nodes[int(network.edge_child[edge])]
+        if child.kind == "part" and child.part == part and child.positive:
+            network.edge_weight[network.child_edges(int(network.edge_parent[edge]))] = 1.0
+            network.edge_weight[edge] = 0.0
+    normalize_weights(network)
+
+
+@pytest.mark.parametrize("name", ["ihs", "jhs", "high", "zero"])
+def test_windowed_stage_matches_per_pair_reference(name):
+    networks, groups, ds, config = stage_case(name)
+    if name == "zero":
+        klass = ds.classes[0]
+        zero_part_weight(networks[klass], 0)
+        span = networks[klass].part_span
+        roots = _forward(networks[klass], encode_records(ds.by_class(klass), span), "sum")
+        finite = np.isfinite(roots[:, networks[klass].root])
+        assert finite.any() and not finite.all()
+    reference = run_stage(reference_discriminative_stage, networks, ds, config, groups)
+    assert run_stage(learning_module._discriminative_stage, networks, ds, config, groups) == reference
+    assert reference[3] is None
+    if name == "jhs":
+        assert groups and any(reference[2]["group_hits"])
+    if name == "high":
+        assert max(violation_rates(reference[1])) >= 0.3
+    if name == "zero":
+        assert violation_rates(reference[1])[0] > 0
+
+
+def test_windowed_stage_raises_the_reference_nan_error(monkeypatch):
+    # a NaN enters one sum node's weights right after the third weight
+    # change; both stages must stop at the same pair with the same message
+    networks, groups, ds, config = stage_case("high")
+    normalize = learning_module.normalize_weights
+
+    def poisoning(network, nodes=None):
+        normalize(network, nodes)
+        calls[0] += 1
+        if calls[0] == 3:
+            network.edge_weight[network.child_edges(nodes[0])[0]] = math.nan
+        return network
+
+    monkeypatch.setattr(learning_module, "normalize_weights", poisoning)
+    calls = [0]
+    reference = run_stage(reference_discriminative_stage, networks, ds, config)
+    calls = [0]
+    windowed = run_stage(learning_module._discriminative_stage, networks, ds, config)
+    assert reference[3] is not None and reference[3].startswith("NaN value at node")
+    assert windowed == reference
+
+
+def test_windowed_stage_pass_counts(monkeypatch):
+    ds = generate_synthetic(shared_halves_spec(images_per_class=30), np.random.default_rng(3))
+    networks = train_all(ds, StructureConfig(seed=0, s=2, D=1),
+                         TrainConfig(seed=1, mode="fs-spn", discriminative_epochs=0)).networks
+    config = TrainConfig(seed=1, mode="fs-spn", discriminative_epochs=3, max_pairs_per_epoch=300,
+                         early_stop_patience=3)
+    encode, forward = learning_module.encode_records, learning_module._forward
+    mean_dev_margin = learning_module._mean_dev_margin
+    passes = []  # per class-epoch, the (weights, row tags) of each pair-loop sum pass
+
+    def tagged_encode(records, span):
+        # one trailing column no leaf reads: a tag naming each encoded row
+        rows = encode(records, span)
+        tags = np.arange(len(rows)) + tagged_encode.next
+        tagged_encode.next += len(rows)
+        return np.hstack([rows, tags[:, None]])
+
+    tagged_encode.next = 0
+
+    def counted_forward(network, evidence, mode):
+        if mode == "sum" and not in_dev[0]:
+            if not passes or passes[-1][0] != network.class_label:
+                passes.append((network.class_label, []))
+            passes[-1][1].append((network.edge_weight.tobytes(), evidence[:, -1].tolist()))
+        return forward(network, evidence, mode)
+
+    def dev_margin(network, evidence, n_pos):
+        in_dev[0] = True
+        try:
+            return mean_dev_margin(network, evidence, n_pos)
+        finally:
+            in_dev[0] = False
+            passes.append((None, []))  # the epoch boundary
+
+    in_dev = [False]
+    monkeypatch.setattr(learning_module, "encode_records", tagged_encode)
+    monkeypatch.setattr(learning_module, "_forward", counted_forward)
+    monkeypatch.setattr(learning_module, "_mean_dev_margin", dev_margin)
+    log_lines = []
+    counters = learning_module._discriminative_stage(networks, ds, config, log_lines=log_lines)
+
+    class_epochs = [calls for klass, calls in passes if klass is not None]
+    rates = violation_rates(log_lines)
+    assert len(class_epochs) == len(rates)
+    n_pairs = config.max_pairs_per_epoch
+    assert sum(map(len, class_epochs)) == sum(c["sum_passes"] for c in counters.values())
+    assert sum(len(rows) for calls in class_epochs for _, rows in calls) == sum(
+        c["rows_scored"] for c in counters.values())
+    quiet = [calls for calls, rate in zip(class_epochs, rates) if rate == 0.0]
+    assert quiet and len(quiet) < len(rates)
+    for calls in quiet:
+        assert len(calls) <= math.ceil(math.log2(n_pairs)) + 1
+    for calls in class_epochs:
+        scored = [(weights, row) for weights, rows in calls for row in rows]
+        assert len(scored) == len(set(scored))
+    for klass, c in counters.items():
+        assert c["pairs"] == n_pairs * sum(1 for line in log_lines if f"class {klass} stage d" in line)
+        assert c["updates"] <= c["violated"] <= c["pairs"]
 
 
 # ------------------------------------------------------------------ joint

@@ -14,6 +14,7 @@ from spatialspn.data import (
     strip_grid_spec,
 )
 from spatialspn.errors import (
+    CycleError,
     DegenerateNodeError,
     IncompleteEvidenceError,
     MalformedRecordError,
@@ -21,7 +22,9 @@ from spatialspn.errors import (
 )
 from spatialspn.network import (
     IndicatorValues,
+    Network,
     NetworkBuilder,
+    Node,
     _evidence_row,
     _forward,
     _leaf_log_values,
@@ -556,6 +559,41 @@ def test_evaluation_plan_matches_loop_reference(rng):
             for kind in ref:
                 for got, expected in zip(groups[kind], ref[kind]):
                     assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_topological_order_is_children_first_by_level_then_id(rng):
+    nets = [random_network(rng, max_parts=6, max_pairs=3) for _ in range(30)]
+    for net in nets + [net for net, _ in preset_networks()]:
+        order = net.topological_order()
+        assert order.dtype == np.int32
+        position = np.empty(net.num_nodes, dtype=np.int64)
+        position[order] = np.arange(net.num_nodes)
+        assert sorted(order.tolist()) == list(range(net.num_nodes))
+        assert np.all(position[net.edge_child] < position[net.edge_parent])
+        # levels by relaxing every edge until nothing moves
+        level = np.zeros(net.num_nodes, dtype=np.int64)
+        while True:
+            above = level.copy()
+            np.maximum.at(above, net.edge_parent, level[net.edge_child] + 1)
+            if np.array_equal(above, level):
+                break
+            level = above
+        assert order.tolist() == sorted(range(net.num_nodes), key=lambda i: (level[i], i))
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 0), (0, 3)],                  # self-loop at the root
+    [(0, 1), (1, 2), (2, 0), (2, 3)],  # 3-cycle through the root
+    [(0, 1), (1, 2), (2, 1), (2, 3)],  # cycle below the root
+])
+def test_cycles_raise_cycle_error(edges):
+    nodes = [Node("product")] * 3 + [Node("part", part=0, positive=True)]
+    net = Network(nodes, [p for p, _ in edges], [c for _, c in edges], [math.nan] * len(edges), 0)
+    with pytest.raises(CycleError):
+        net.topological_order()
+    with pytest.raises(CycleError):
+        net._evaluation_plan()
+    assert validate(net).kinds() == {"acyclicity"}
 
 
 # ------------------------------------------------------ batched forward pass
