@@ -16,7 +16,7 @@ from .network import (
     serialize,
     validate,
 )
-from .inference import MpeResult, TraversalCounts, mpe, traversal_difference
+from .inference import MpeResult, mpe
 from .spatial import Location, Relation, build_pair_gadget, canonical_pair, compute_relations
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "NetworkBuilder",
     "Relation",
     "SpnError",
-    "TraversalCounts",
     "assignment_to_indicators",
     "build_pair_gadget",
     "canonical_pair",
@@ -41,6 +40,5 @@ __all__ = [
     "normalize_weights",
     "save_network",
     "serialize",
-    "traversal_difference",
     "validate",
 ]

@@ -57,10 +57,6 @@ class ContractViolationError(SpnError):
     """A caller violated a documented precondition."""
 
 
-class TraversalMismatchError(SpnError):
-    """Traversal counts from different networks were combined."""
-
-
 class SizeGuardError(SpnError):
     """A brute-force oracle was asked to enumerate too large a space."""
 

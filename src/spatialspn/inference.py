@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateNodeError, TraversalMismatchError
+from .errors import ContractViolationError, DegenerateNodeError
 from .network import (
     PRODUCT,
     ROW_BLOCK_ELEMENTS,
     SUM,
-    EvaluationResult,
     IndicatorValues,
     Network,
     max_evaluate,
@@ -29,32 +28,15 @@ TIE_TOLERANCE = 1e-12
 
 
 @dataclass
-class TraversalCounts:
-    """Per-edge traversal counts from one MPE backtrack.
-
-    When a node is reached k times through a shared parent structure, each of
-    its selected outgoing edges accumulates k.
-    """
-
-    network: Network
-    counts: np.ndarray
-
-
-def traversal_difference(counts_pos: TraversalCounts, counts_neg: TraversalCounts) -> dict[int, int]:
-    """Sparse elementwise difference t_pos - t_neg; absent edges are zero."""
-    if counts_pos.network is not counts_neg.network:
-        raise TraversalMismatchError("traversal counts come from different networks")
-    delta = counts_pos.counts.astype(np.int64) - counts_neg.counts.astype(np.int64)
-    return {int(e): int(delta[e]) for e in np.flatnonzero(delta)}
-
-
-@dataclass
 class MpeResult:
+    """`edge_counts[e]` is how often the selected tree traverses edge e: a
+    node reached k times through shared parents passes k to each selected
+    outgoing edge."""
+
     assignment: IndicatorValues
     root_log_value: float
     root_value: float
-    traversal: TraversalCounts
-    evaluation: EvaluationResult
+    edge_counts: np.ndarray
     unconstrained: set = field(default_factory=set)
 
 
@@ -179,7 +161,6 @@ def mpe(network: Network, evidence: IndicatorValues, query=()) -> MpeResult:
         assignment=assignment,
         root_log_value=result.root_log_value,
         root_value=result.root_value,
-        traversal=TraversalCounts(network, edge_counts),
-        evaluation=result,
+        edge_counts=edge_counts,
         unconstrained=unconstrained,
     )

@@ -39,6 +39,7 @@ from .network import (
     Network,
     _forward,
     _int,
+    _reachable,
     encode_records,
     load_network,
     normalize_weights,
@@ -176,16 +177,7 @@ def prune(network: Network, threshold: float) -> Network:
             break
         keep &= ~drop
 
-    # reachability sweep from the root over surviving edges
-    reachable = np.zeros(n, dtype=bool)
-    reachable[network.root] = True
-    frontier = reachable.copy()
-    while frontier.any():
-        hit = np.zeros(n, dtype=bool)
-        hit[child[keep & frontier[parent]]] = True
-        frontier = hit & ~reachable
-        reachable |= frontier
-
+    reachable = _reachable(n, network.root, parent[keep], child[keep])
     new_id = np.cumsum(reachable) - 1
     kept = keep & reachable[parent]
     pruned = Network(
@@ -649,6 +641,8 @@ def load_bundle(path) -> ModelBundle:
         elif tokens[0] == "class":
             if len(tokens) != 3:
                 raise ModelFormatError(line_no, "class line needs '<name> <file>'")
+            if tokens[1] in networks:
+                raise ModelFormatError(line_no, f"duplicate class {tokens[1]!r}")
             classes.append(tokens[1])
             networks[tokens[1]] = load_network(os.path.join(path, tokens[2]))
         elif tokens[0] == "shared-group":

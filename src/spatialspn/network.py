@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ContractViolationError,
     CycleError,
     DegenerateNodeError,
     IncompleteEvidenceError,
@@ -42,7 +43,6 @@ SPATIAL = "spatial"
 ONE = "one"
 
 LEAF_KINDS = frozenset({PART, SPATIAL, ONE})
-INTERNAL_KINDS = frozenset({SUM, PRODUCT})
 
 FORMAT_VERSION = 1
 WEIGHT_FLOOR = 1e-8
@@ -53,14 +53,6 @@ ROW_BLOCK_ELEMENTS = 2 ** 18
 NEG_INF = float("-inf")
 
 
-def part_var(part: int):
-    return ("part", part)
-
-
-def pair_var(pair: tuple[int, int]):
-    return ("pair", pair)
-
-
 @dataclass(frozen=True)
 class Node:
     kind: str
@@ -68,14 +60,6 @@ class Node:
     positive: bool | None = None
     pair: tuple[int, int] | None = None
     relation: Relation | None = None
-
-    def variable(self):
-        """The single variable of a leaf indicator, None for other kinds."""
-        if self.kind == PART:
-            return part_var(self.part)
-        if self.kind == SPATIAL:
-            return pair_var(self.pair)
-        return None
 
 
 @dataclass(frozen=True)
@@ -297,7 +281,7 @@ class Network:
 
     def variables(self):
         """All variables in the network, parts before pairs, sorted."""
-        return [part_var(p) for p in self.part_universe] + [pair_var(q) for q in self.pair_universe]
+        return [("part", p) for p in self.part_universe] + [("pair", q) for q in self.pair_universe]
 
     # -------------------------------------------------------------- topo / plan
 
@@ -431,6 +415,8 @@ class NetworkBuilder:
 
     def part(self, part: int, positive: bool) -> int:
         """Part indicator leaf; one node per (part, polarity) is shared."""
+        if part < 0:
+            raise ContractViolationError(f"part id must be >= 0, got {part}")
         key = (PART, part, positive)
         if key not in self._leaf_cache:
             self._leaf_cache[key] = self._add(Node(PART, part=part, positive=positive))
@@ -438,6 +424,8 @@ class NetworkBuilder:
 
     def spatial(self, pair, relation: Relation) -> int:
         pair = canonical_pair(*pair)
+        if pair[0] < 0:
+            raise ContractViolationError(f"part ids must be >= 0, got pair {pair}")
         key = (SPATIAL, pair, relation)
         if key not in self._leaf_cache:
             self._leaf_cache[key] = self._add(Node(SPATIAL, pair=pair, relation=relation))
@@ -481,22 +469,18 @@ class NetworkBuilder:
 # ---------------------------------------------------------------------- validate
 
 
-def _scope_bits(network: Network, topo) -> tuple[list[int], dict]:
-    """Per-node variable scopes as bitsets (python ints)."""
-    var_index = {v: i for i, v in enumerate(network.variables())}
-    scopes = [0] * network.num_nodes
-    for node in topo:
-        nd = network.nodes[node]
-        if nd.kind in (PART, SPATIAL):
-            scopes[node] = 1 << var_index[nd.variable()]
-        elif nd.kind == ONE:
-            scopes[node] = 0
-        else:
-            acc = 0
-            for child in network.children(node):
-                acc |= scopes[child]
-            scopes[node] = acc
-    return scopes, var_index
+def _reachable(n: int, root: int, parent: np.ndarray, child: np.ndarray) -> np.ndarray:
+    """Mask of the nodes reachable from `root` over the edges parent -> child,
+    one frontier sweep per level."""
+    reachable = np.zeros(n, dtype=bool)
+    reachable[root] = True
+    frontier = reachable.copy()
+    while frontier.any():
+        hit = np.zeros(n, dtype=bool)
+        hit[child[frontier[parent]]] = True
+        frontier = hit & ~reachable
+        reachable |= frontier
+    return reachable
 
 
 def validate(network: Network) -> ValidityReport:
@@ -504,79 +488,64 @@ def validate(network: Network) -> ValidityReport:
     and completeness. Violations are data, not exceptions; an empty report
     means the network is valid."""
     report = ValidityReport()
-
     try:
-        topo = network.topological_order()
+        plan = network._evaluation_plan()
     except CycleError:
-        report.violations.append(
-            Violation("acyclicity", message="graph contains a cycle")
-        )
+        report.violations.append(Violation("acyclicity", message="graph contains a cycle"))
         return report
+    n, parent, child = network.num_nodes, network.edge_parent, network.edge_child
+    kinds = np.array([nd.kind for nd in network.nodes])
+    is_leaf = np.isin(kinds, list(LEAF_KINDS))
+    fanout = np.diff(network._cs_start)
+    add = report.violations.append
 
-    reachable = np.zeros(network.num_nodes, dtype=bool)
-    stack = [network.root]
-    reachable[network.root] = True
-    while stack:
-        node = stack.pop()
-        for child in network.children(node):
-            if not reachable[child]:
-                reachable[child] = True
-                stack.append(int(child))
-    for node in np.flatnonzero(~reachable):
-        report.violations.append(
-            Violation("reachability", node=int(node), message=f"node {node} unreachable from root")
-        )
+    for node in np.flatnonzero(~_reachable(n, network.root, parent, child)).tolist():
+        add(Violation("reachability", node=node, message=f"node {node} unreachable from root"))
 
-    for node, nd in enumerate(network.nodes):
-        n_children = len(network.children(node))
-        if nd.kind in LEAF_KINDS and n_children:
-            report.violations.append(
-                Violation("leaf-children", node=node, message=f"leaf node {node} has children")
-            )
-        if nd.kind in INTERNAL_KINDS and n_children == 0:
-            report.violations.append(
-                Violation("childless-internal", node=node, message=f"{nd.kind} node {node} has no children")
-            )
+    # a leaf with children, or a sum or product without
+    for node in np.flatnonzero(is_leaf == (fanout > 0)).tolist():
+        if is_leaf[node]:
+            add(Violation("leaf-children", node=node, message=f"leaf node {node} has children"))
+        else:
+            add(Violation("childless-internal", node=node,
+                          message=f"{kinds[node]} node {node} has no children"))
 
-    for edge in range(network.num_edges):
-        parent = int(network.edge_parent[edge])
-        weight = network.edge_weight[edge]
-        if network.nodes[parent].kind == SUM:
-            if not math.isfinite(weight) or weight < 0:
-                report.violations.append(
-                    Violation("weight", edge=edge, message=f"edge {edge} has invalid weight {weight}")
-                )
-        elif not math.isnan(weight):
-            report.violations.append(
-                Violation("weight", edge=edge, message=f"edge {edge} of a {network.nodes[parent].kind} node carries a weight")
-            )
+    weight = network.edge_weight
+    on_sum = kinds[parent] == SUM
+    with np.errstate(invalid="ignore"):
+        bad = np.where(on_sum, ~(np.isfinite(weight) & (weight >= 0)), ~np.isnan(weight))
+    for edge in np.flatnonzero(bad).tolist():
+        if on_sum[edge]:
+            message = f"edge {edge} has invalid weight {weight[edge]}"
+        else:
+            message = f"edge {edge} of a {kinds[parent[edge]]} node carries a weight"
+        add(Violation("weight", edge=edge, message=message))
 
-    scopes, _ = _scope_bits(network, topo)
-    for node, nd in enumerate(network.nodes):
-        kids = network.children(node)
-        if nd.kind == PRODUCT and len(kids):
-            acc = 0
-            for child in kids:
-                if acc & scopes[child]:
-                    report.violations.append(
-                        Violation(
-                            "decomposability",
-                            node=node,
-                            message=f"product node {node} has children with overlapping scopes",
-                        )
-                    )
-                    break
-                acc |= scopes[child]
-        elif nd.kind == SUM and len(kids):
-            first = scopes[kids[0]]
-            if any(scopes[child] != first for child in kids[1:]):
-                report.violations.append(
-                    Violation(
-                        "completeness",
-                        node=node,
-                        message=f"sum node {node} has children with differing scopes",
-                    )
-                )
+    # scopes over variables named by their base evidence column (distinct for
+    # non-negative part ids); an internal node's scope is its children's union
+    table = network._leaf_slots()
+    leaves = [network.nodes[i] for i in table.leaves]
+    base = [part_column(nd.part) if nd.kind == PART else pair_column(*nd.pair) for nd in leaves]
+    columns, variable = np.unique(np.asarray(base, dtype=np.int64), return_inverse=True)
+    scope = np.zeros((n, (len(columns) + 7) // 8), dtype=np.uint8)  # 8 variables a byte
+    scope[table.leaves, variable >> 3] = 1 << (variable & 7)
+    for groups in plan:
+        for nodes, _, children, seg_starts, _ in groups.values():
+            scope[nodes] = np.bitwise_or.reduceat(scope[children], seg_starts, axis=0)
+    # children are subsets of the union: a product is decomposable iff their
+    # sizes add up to the union's, a sum complete iff each has the union's
+    # size, that is iff they add up to fanout times it
+    size = np.bitwise_count(scope).sum(axis=1)
+    child_total = np.bincount(parent, weights=size[child], minlength=n)
+    overlap = (kinds == PRODUCT) & (fanout > 0) & (child_total != size)
+    differ = (kinds == SUM) & (fanout > 0) & (child_total != fanout * size)
+    for node in np.flatnonzero(overlap | differ).tolist():
+        if overlap[node]:
+            add(Violation("decomposability", node=node,
+                          message=f"product node {node} has children with overlapping scopes"))
+        else:
+            add(Violation("completeness", node=node,
+                          message=f"sum node {node} has children with differing scopes"))
     return report
 
 
@@ -744,6 +713,13 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ModelFormatError(line_no, f"bad {what} {token!r}") from None
 
 
+def _part_id(token: str, line_no: int) -> int:
+    part = _int(token, line_no, "part id")
+    if part < 0:
+        raise ModelFormatError(line_no, f"part id must be >= 0, got {part}")
+    return part
+
+
 def _parse_rect(tokens, line_no):
     from fractions import Fraction
 
@@ -799,16 +775,16 @@ def deserialize(text: str | bytes) -> Network:
             elif kind == PART:
                 if len(tokens) != 5 or tokens[4] not in ("pos", "neg"):
                     raise ModelFormatError(line_no, "part node needs '<id> pos|neg'")
-                nodes[nid] = Node(PART, part=_int(tokens[3], line_no, "part id"),
+                nodes[nid] = Node(PART, part=_part_id(tokens[3], line_no),
                                   positive=tokens[4] == "pos")
             elif kind == SPATIAL:
                 if len(tokens) != 6:
                     raise ModelFormatError(line_no, "spatial node needs '<a> <b> <relation>'")
                 if tokens[5] not in TOKEN_RELATIONS:
                     raise ModelFormatError(line_no, f"unknown relation {tokens[5]!r}")
-                pair = (_int(tokens[3], line_no, "part id"), _int(tokens[4], line_no, "part id"))
-                if pair != canonical_pair(*pair):
-                    raise ModelFormatError(line_no, f"pair {pair} is not canonically ordered")
+                pair = (_part_id(tokens[3], line_no), _part_id(tokens[4], line_no))
+                if pair[0] >= pair[1]:
+                    raise ModelFormatError(line_no, f"pair {pair} is not two canonically ordered parts")
                 nodes[nid] = Node(SPATIAL, pair=pair, relation=TOKEN_RELATIONS[tokens[5]])
             else:
                 raise ModelFormatError(line_no, f"unknown node kind {kind!r}")

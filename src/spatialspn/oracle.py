@@ -165,7 +165,7 @@ def finite_difference_gradient(network: Network, evidence_pair, edge: int,
 
     def tree_signature(evidence):
         result = mpe(network, evidence)
-        return tuple(np.flatnonzero(result.traversal.counts))
+        return tuple(np.flatnonzero(result.edge_counts))
 
     base_m = tree_signature(ev_m)
     base_n = tree_signature(ev_n)

@@ -134,7 +134,7 @@ def run_verification(seed: int = 0, perturb_fixture: bool = False) -> list[Check
         for edge in range(rnet.num_edges):
             if rnet.nodes[int(rnet.edge_parent[edge])].kind != SUM:
                 continue
-            dt = int(res_m.traversal.counts[edge]) - int(res_n.traversal.counts[edge])
+            dt = int(res_m.edge_counts[edge]) - int(res_n.edge_counts[edge])
             analytic = dt / float(rnet.edge_weight[edge])
             fd = finite_difference_gradient(rnet, (ev_m, ev_n), edge)
             if fd is None:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spatialspn.network import IndicatorValues, NetworkBuilder
 from spatialspn.oracle import reference_network
@@ -11,6 +12,10 @@ from spatialspn.oracle import reference_network
 # like pytest's `pythonpath` setting, let it import this checkout's package
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -283,7 +283,7 @@ def test_ac10_gradient_check():
         for edge in range(net.num_edges):
             if net.nodes[int(net.edge_parent[edge])].kind != "sum":
                 continue
-            dt = int(res_m.traversal.counts[edge]) - int(res_n.traversal.counts[edge])
+            dt = int(res_m.edge_counts[edge]) - int(res_n.edge_counts[edge])
             analytic = dt / float(net.edge_weight[edge])
             fd = finite_difference_gradient(net, (ev_m, ev_n), edge)
             if fd is None:

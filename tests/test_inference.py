@@ -5,8 +5,8 @@ import pytest
 
 import spatialspn.inference as inference_module
 from spatialspn.data import generate_synthetic, strip_grid_spec
-from spatialspn.errors import ContractViolationError, DegenerateNodeError, TraversalMismatchError
-from spatialspn.inference import TIE_TOLERANCE, _backtrack, mpe, traversal_difference
+from spatialspn.errors import ContractViolationError, DegenerateNodeError
+from spatialspn.inference import TIE_TOLERANCE, _backtrack, mpe
 from spatialspn.network import (
     IndicatorValues,
     NetworkBuilder,
@@ -100,7 +100,7 @@ def test_traversal_counts_conserve_flow(rng):
         net = random_network(rng)
         evidence = random_evidence(rng, net)
         result = mpe(net, evidence)
-        counts = result.traversal.counts
+        counts = result.edge_counts
         node_in = np.zeros(net.num_nodes, dtype=np.int64)
         node_in[net.root] = 1
         for edge in np.flatnonzero(counts):
@@ -114,26 +114,18 @@ def test_traversal_counts_conserve_flow(rng):
 
 def test_traversal_difference_zero_for_identical_trees(ref_net):
     evidence = one_hot(True, False)
-    a = mpe(ref_net, evidence).traversal
-    b = mpe(ref_net, evidence).traversal
-    assert traversal_difference(a, b) == {}
+    a = mpe(ref_net, evidence).edge_counts
+    b = mpe(ref_net, evidence).edge_counts
+    assert not (a - b).any()
 
 
 def test_traversal_difference_signs(ref_net):
-    pos = mpe(ref_net, one_hot(True, True)).traversal
-    neg = mpe(ref_net, one_hot(False, False)).traversal
-    delta = traversal_difference(pos, neg)
-    assert delta  # trees differ
-    assert any(v == 1 for v in delta.values())
-    assert any(v == -1 for v in delta.values())
-
-
-def test_traversal_difference_rejects_mismatched_networks(ref_net, rng):
-    other = random_network(rng)
-    a = mpe(ref_net, one_hot(True, False)).traversal
-    b = mpe(other, random_evidence(rng, other)).traversal
-    with pytest.raises(TraversalMismatchError):
-        traversal_difference(a, b)
+    pos = mpe(ref_net, one_hot(True, True)).edge_counts
+    neg = mpe(ref_net, one_hot(False, False)).edge_counts
+    delta = pos - neg
+    assert delta.any()  # trees differ
+    assert (delta == 1).any()
+    assert (delta == -1).any()
 
 
 def test_unconstrained_query_flagged():
@@ -237,7 +229,7 @@ def test_multi_parent_counts_multiply():
     result = mpe(net, evidence)
     # the winning leaf edge is traversed exactly once along the chain
     leaf_edges = [e for e in range(net.num_edges) if net.edge_parent[e] == shared]
-    assert result.traversal.counts[leaf_edges].sum() == 1
+    assert result.edge_counts[leaf_edges].sum() == 1
 
 
 # ------------------------------------------------------ level-wise backtrack
@@ -396,7 +388,7 @@ def test_mpe_raises_typed_error_on_nan_score():
     b.edge(orphan, b.part(0, False), 1.0)
     net = b.build(root=root)
     net.edge_weight[net.child_edges(orphan)] = np.nan
-    assert mpe(net, one_hot(True, False)).traversal.counts.tolist() == [1, 0]
+    assert mpe(net, one_hot(True, False)).edge_counts.tolist() == [1, 0]
 
 
 def test_batched_backtrack_peak_memory_is_bounded():

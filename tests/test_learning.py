@@ -307,7 +307,7 @@ def test_single_sided_edge_weight_increases():
     pos, neg = im([0]), im([], klass="d")
     res_p = mpe(net, assignment_to_indicators(pos, net.part_span))
     res_n = mpe(net, assignment_to_indicators(neg, net.part_span))
-    delta = res_p.traversal.counts - res_n.traversal.counts
+    delta = res_p.edge_counts - res_n.edge_counts
     increased = [e for e in np.flatnonzero(delta > 0)
                  if net.nodes[int(net.edge_parent[e])].kind == "sum"]
     before = net.edge_weight[increased].copy()
@@ -753,6 +753,7 @@ def test_load_bundle_accepts_equal_tied_weights(tmp_path):
     ("mode fancy-spn\n", (0.3, 0.7), 7),
     ("class c\n", (0.3, 0.7), 7),
     ("classes 3\n", (0.3, 0.7), 7),
+    ("class a b.spn\n", (0.3, 0.7), 7),
 ])
 def test_load_bundle_rejects_malformed_manifest_lines(tmp_path, manifest_tail, weights_b, line_no):
     write_tied_bundle(tmp_path, manifest_tail, weights_b)

@@ -14,6 +14,7 @@ from spatialspn.data import (
     strip_grid_spec,
 )
 from spatialspn.errors import (
+    ContractViolationError,
     CycleError,
     DegenerateNodeError,
     IncompleteEvidenceError,
@@ -25,6 +26,8 @@ from spatialspn.network import (
     Network,
     NetworkBuilder,
     Node,
+    ValidityReport,
+    Violation,
     _evidence_row,
     _forward,
     _leaf_log_values,
@@ -43,7 +46,7 @@ from spatialspn.oracle import (
     reference_network,
 )
 
-from spatialspn.spatial import compute_relations
+from spatialspn.spatial import Relation, compute_relations
 from spatialspn.structure import (
     StructureConfig,
     build_class_network,
@@ -96,6 +99,157 @@ def test_orphan_node_is_reported():
     b.part(1, True)  # never connected
     net = b.build(root=s)
     assert "reachability" in validate(net).kinds()
+
+
+def reference_validate(network):
+    """The per-node loop validation the array passes replace: a DFS for
+    reachability and per-node scope bitsets over `network.variables()`."""
+    report = ValidityReport()
+    try:
+        topo = network.topological_order()
+    except CycleError:
+        report.violations.append(Violation("acyclicity", message="graph contains a cycle"))
+        return report
+
+    reachable = np.zeros(network.num_nodes, dtype=bool)
+    stack = [network.root]
+    reachable[network.root] = True
+    while stack:
+        node = stack.pop()
+        for child in network.children(node):
+            if not reachable[child]:
+                reachable[child] = True
+                stack.append(int(child))
+    for node in np.flatnonzero(~reachable):
+        report.violations.append(
+            Violation("reachability", node=int(node), message=f"node {node} unreachable from root")
+        )
+
+    for node, nd in enumerate(network.nodes):
+        n_children = len(network.children(node))
+        if nd.kind in ("part", "spatial", "one") and n_children:
+            report.violations.append(
+                Violation("leaf-children", node=node, message=f"leaf node {node} has children")
+            )
+        if nd.kind in ("sum", "product") and n_children == 0:
+            report.violations.append(
+                Violation("childless-internal", node=node, message=f"{nd.kind} node {node} has no children")
+            )
+
+    for edge in range(network.num_edges):
+        parent = int(network.edge_parent[edge])
+        weight = network.edge_weight[edge]
+        if network.nodes[parent].kind == "sum":
+            if not math.isfinite(weight) or weight < 0:
+                report.violations.append(
+                    Violation("weight", edge=edge, message=f"edge {edge} has invalid weight {weight}")
+                )
+        elif not math.isnan(weight):
+            report.violations.append(
+                Violation("weight", edge=edge, message=f"edge {edge} of a {network.nodes[parent].kind} node carries a weight")
+            )
+
+    var_index = {v: i for i, v in enumerate(network.variables())}
+    scopes = [0] * network.num_nodes
+    for node in topo:
+        nd = network.nodes[node]
+        if nd.kind == "part":
+            scopes[node] = 1 << var_index[("part", nd.part)]
+        elif nd.kind == "spatial":
+            scopes[node] = 1 << var_index[("pair", nd.pair)]
+        elif nd.kind != "one":
+            for child in network.children(node):
+                scopes[node] |= scopes[child]
+    for node, nd in enumerate(network.nodes):
+        kids = network.children(node)
+        if nd.kind == "product" and len(kids):
+            acc = 0
+            for child in kids:
+                if acc & scopes[child]:
+                    report.violations.append(Violation(
+                        "decomposability", node=node,
+                        message=f"product node {node} has children with overlapping scopes",
+                    ))
+                    break
+                acc |= scopes[child]
+        elif nd.kind == "sum" and len(kids):
+            first = scopes[kids[0]]
+            if any(scopes[child] != first for child in kids[1:]):
+                report.violations.append(Violation(
+                    "completeness", node=node,
+                    message=f"sum node {node} has children with differing scopes",
+                ))
+    return report
+
+
+ORPHANS = [Node("sum"), Node("product"), Node("one"), Node("part", part=0, positive=False)]
+
+
+def mutate(rng, net):
+    """`net` with one random structural or weight defect."""
+    nodes = list(net.nodes)
+    parent, child = net.edge_parent.tolist(), net.edge_child.tolist()
+    weight, root = net.edge_weight.tolist(), net.root
+    n, e = len(nodes), len(parent)
+    is_sum = [nodes[p].kind == "sum" for p in parent]
+    leaves = [i for i, nd in enumerate(nodes) if nd.kind in ("part", "spatial", "one")]
+    kind = int(rng.integers(10))
+    i = int(rng.integers(e))
+    if kind == 0:  # drop an edge
+        del parent[i], child[i], weight[i]
+    elif kind in (1, 2, 3):  # add an edge, from anywhere or from a leaf, or a self-loop
+        p = int(rng.integers(n)) if kind == 1 else int(rng.choice(leaves))
+        c = p if kind == 3 else int(rng.integers(n))
+        parent.append(p)
+        child.append(c)
+        weight.append(float(rng.random()) if nodes[p].kind == "sum" else math.nan)
+    elif kind == 4:  # retarget an edge
+        child[i] = int(rng.integers(n))
+    elif kind == 5:  # a bad sum weight
+        sums = [j for j in range(e) if is_sum[j]]
+        weight[int(rng.choice(sums)) if sums else i] = float(rng.choice([-1.0, math.inf, math.nan]))
+    elif kind == 6:  # a weight on a product edge
+        products = [j for j in range(e) if not is_sum[j]]
+        weight[int(rng.choice(products)) if products else i] = 0.5
+    elif kind == 7:  # an orphan node
+        nodes.append(ORPHANS[int(rng.integers(len(ORPHANS)))])
+    else:  # move the root
+        root = int(rng.integers(n))
+    return Network(nodes, parent, child, weight, root)
+
+
+def test_validate_matches_per_node_reference(rng):
+    """Same violations, messages and order as the per-node loops, on valid
+    networks and on up to three stacked random defects each."""
+    presets = [net for net, _ in preset_networks()]
+    cases = [random_network(rng, max_parts=6, max_pairs=3) for _ in range(40)] + presets
+    for _ in range(600):
+        net = random_network(rng, max_parts=6, max_pairs=3)
+        for _ in range(int(rng.integers(1, 4))):
+            net = mutate(rng, net)
+        cases.append(net)
+    cases += [mutate(rng, net) for net in presets[:4]]
+    seen = set()
+    for net in cases:
+        want = reference_validate(net)
+        assert validate(net).violations == want.violations
+        seen |= want.kinds()
+    assert seen == {"acyclicity", "reachability", "leaf-children", "childless-internal",
+                    "weight", "decomposability", "completeness"}
+
+
+def test_validate_peak_memory_is_bounded():
+    ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
+                            np.random.default_rng(0))
+    net = build_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
+    tracemalloc.start()
+    try:
+        report = validate(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.num_edges > 25_000 and report.ok
+    assert peak < 4e6  # the bit-packed scopes; a boolean matrix takes about 5.4 MB
 
 
 # ------------------------------------------------------------ indicators
@@ -421,6 +575,27 @@ def test_non_integer_field_is_a_typed_error(line):
     with pytest.raises(ModelFormatError) as info:
         deserialize(f"spn-model v1\n{line}\n")
     assert info.value.line_no == 2
+
+
+@pytest.mark.parametrize("line", [
+    "node 0 part -1 pos",
+    "node 0 spatial -1 2 left",
+    "node 0 spatial 1 -2 above",
+    "node 0 spatial 1 1 left",  # would read part 2's columns
+])
+def test_bad_part_id_is_a_typed_error(line):
+    with pytest.raises(ModelFormatError) as info:
+        deserialize(f"spn-model v1\n{line}\nroot 0\n")
+    assert info.value.line_no == 2
+
+
+def test_builder_rejects_negative_part_ids():
+    b = NetworkBuilder()
+    with pytest.raises(ContractViolationError):
+        b.part(-1, True)
+    with pytest.raises(ContractViolationError):
+        b.spatial((2, -1), Relation.LEFT_OF)
+    assert b.part(0, True) == 0  # nothing was added
 
 
 def test_builder_rejects_bad_weights():

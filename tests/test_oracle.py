@@ -113,8 +113,8 @@ def test_edge_outside_both_trees_has_zero_gradient(rng):
         e
         for e in range(net.num_edges)
         if net.nodes[int(net.edge_parent[e])].kind == "sum"
-        and res_m.traversal.counts[e] == 0
-        and res_n.traversal.counts[e] == 0
+        and res_m.edge_counts[e] == 0
+        and res_n.edge_counts[e] == 0
     ]
     assert outside, "fixture should have untraversed sum edges"
     fd = finite_difference_gradient(net, (ev_m, ev_n), outside[0])
@@ -146,7 +146,7 @@ def test_gradients_match_fd_on_random_fixtures(rng):
         for edge in range(net.num_edges):
             if net.nodes[int(net.edge_parent[edge])].kind != "sum":
                 continue
-            dt = int(res_m.traversal.counts[edge]) - int(res_n.traversal.counts[edge])
+            dt = int(res_m.edge_counts[edge]) - int(res_n.edge_counts[edge])
             analytic = dt / float(net.edge_weight[edge])
             fd = finite_difference_gradient(net, (ev_m, ev_n), edge)
             if fd is None:
