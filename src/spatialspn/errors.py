@@ -26,11 +26,15 @@ class CycleError(SpnError):
 
 
 class ModelFormatError(SpnError):
-    """A model file cannot be parsed. Carries the offending line number."""
+    """A model file cannot be parsed. Carries the offending line number and,
+    when it is known, the file's path."""
 
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no, message, path=None):
+        where = f"line {line_no}" if path is None else f"{path}, line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.message = message
+        self.path = path
 
 
 class DataFormatError(SpnError):

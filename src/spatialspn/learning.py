@@ -643,8 +643,12 @@ def load_bundle(path) -> ModelBundle:
                 raise ModelFormatError(line_no, "class line needs '<name> <file>'")
             if tokens[1] in networks:
                 raise ModelFormatError(line_no, f"duplicate class {tokens[1]!r}")
+            try:
+                networks[tokens[1]] = load_network(os.path.join(path, tokens[2]))
+            except OSError as exc:
+                raise ModelFormatError(
+                    line_no, f"cannot read class file {tokens[2]!r}: {exc.strerror}") from None
             classes.append(tokens[1])
-            networks[tokens[1]] = load_network(os.path.join(path, tokens[2]))
         elif tokens[0] == "shared-group":
             group = []
             for chunk in tokens[1:]:

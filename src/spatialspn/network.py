@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -672,6 +673,10 @@ def normalize_weights(network: Network, nodes=None) -> Network:
 # --------------------------------------------------------------------- serialize
 
 
+# Edges per block of serialize's Python lists, which bounds their memory.
+SERIALIZE_BLOCK_EDGES = 2 ** 12
+
+
 def _format_rect(rect) -> str:
     return " ".join(str(v) for v in rect)
 
@@ -690,13 +695,15 @@ def serialize(network: Network) -> str:
             lines.append(f"node {nid} spatial {node.pair[0]} {node.pair[1]} {token}")
         else:
             lines.append(f"node {nid} {node.kind}")
-    for edge in range(network.num_edges):
-        parent = int(network.edge_parent[edge])
-        child = int(network.edge_child[edge])
-        if network.nodes[parent].kind == SUM:
-            lines.append(f"edge {parent} {child} {network.edge_weight[edge]:.17g}")
-        else:
-            lines.append(f"edge {parent} {child}")
+    is_sum = np.array([nd.kind == SUM for nd in network.nodes], dtype=bool)
+    for lo in range(0, network.num_edges, SERIALIZE_BLOCK_EDGES):
+        edges = slice(lo, lo + SERIALIZE_BLOCK_EDGES)
+        lines.extend(
+            f"edge {parent} {child} {weight:.17g}" if on_sum else f"edge {parent} {child}"
+            for parent, child, weight, on_sum in zip(
+                network.edge_parent[edges].tolist(), network.edge_child[edges].tolist(),
+                network.edge_weight[edges].tolist(), is_sum[network.edge_parent[edges]].tolist())
+        )
     lines.append(f"root {network.root}")
     for edge in sorted(network.shared_edges):
         lines.append(f"shared {edge}")
@@ -720,74 +727,92 @@ def _part_id(token: str, line_no: int) -> int:
     return part
 
 
-def _parse_rect(tokens, line_no):
-    from fractions import Fraction
-
+def _parse_rect(tokens, line_no, fractions: dict):
+    """Four coordinates; `fractions` caches each token's Fraction."""
     if len(tokens) != 4:
         raise ModelFormatError(line_no, f"rectangle needs 4 coordinates, got {len(tokens)}")
-    try:
-        return tuple(Fraction(t) for t in tokens)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelFormatError(line_no, f"bad rectangle coordinate: {exc}") from None
+    rect = []
+    for token in tokens:
+        value = fractions.get(token)
+        if value is None:
+            try:
+                value = fractions[token] = Fraction(token)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ModelFormatError(line_no, f"bad rectangle coordinate: {exc}") from None
+        rect.append(value)
+    return tuple(rect)
 
 
-def deserialize(text: str | bytes) -> Network:
-    """Parse a model file; errors carry the offending line number."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.splitlines()
-    if not lines:
+def _parse_node(body, line_no) -> Node:
+    """The node a node line's tokens after its id describe."""
+    kind = body[0]
+    if kind in (SUM, PRODUCT, ONE):
+        if len(body) != 1:
+            raise ModelFormatError(line_no, f"{kind} node takes no arguments")
+        return Node(kind)
+    if kind == PART:
+        if len(body) != 3 or body[2] not in ("pos", "neg"):
+            raise ModelFormatError(line_no, "part node needs '<id> pos|neg'")
+        return Node(PART, part=_part_id(body[1], line_no), positive=body[2] == "pos")
+    if kind == SPATIAL:
+        if len(body) != 4:
+            raise ModelFormatError(line_no, "spatial node needs '<a> <b> <relation>'")
+        if body[3] not in TOKEN_RELATIONS:
+            raise ModelFormatError(line_no, f"unknown relation {body[3]!r}")
+        pair = (_part_id(body[1], line_no), _part_id(body[2], line_no))
+        if pair[0] >= pair[1]:
+            raise ModelFormatError(line_no, f"pair {pair} is not two canonically ordered parts")
+        return Node(SPATIAL, pair=pair, relation=TOKEN_RELATIONS[body[3]])
+    raise ModelFormatError(line_no, f"unknown node kind {kind!r}")
+
+
+def _check_header(line: str | None) -> None:
+    """The first line of a model file (None for an empty file)."""
+    if line is None:
         raise ModelFormatError(0, "empty model file")
-    header = lines[0].split()
+    header = line.split()
     if len(header) != 2 or header[0] != "spn-model":
         raise ModelFormatError(1, f"expected 'spn-model v{FORMAT_VERSION}' header")
     if header[1] != f"v{FORMAT_VERSION}":
         raise ModelFormatError(1, f"unsupported format version {header[1]!r}")
 
-    nodes: dict[int, Node] = {}
-    edges = []
-    root = None
-    class_label = None
-    shared = set()
-    partitions = []
 
-    for line_no, raw in enumerate(lines[1:], start=2):
+class _LineParser:
+    """Parses the lines after a model file's header, one `read` call per
+    line in file order, and builds the network with `network`. Node lines
+    with the same tokens after the id share one Node."""
+
+    def __init__(self):
+        self.nodes: dict[int, Node] = {}
+        self.node_line: dict[int, int] = {}
+        self.edges: list[tuple[int, int, int, float]] = []  # (line, parent, child, weight)
+        self.root = None
+        self.root_line = 0
+        self.class_label = None
+        self.shared: dict[int, int] = {}  # edge id -> its first `shared` line
+        self.partitions = []
+        self._bodies: dict[tuple, Node] = {}
+        self._fractions: dict[str, Fraction] = {}
+
+    def read(self, line_no: int, raw: str) -> None:
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
+            return
         tokens = line.split()
         tag = tokens[0]
-        if tag == "class":
-            if len(tokens) != 2:
-                raise ModelFormatError(line_no, "class line needs one label")
-            class_label = tokens[1]
-        elif tag == "node":
+        nodes = self.nodes
+        if tag == "node":
             if len(tokens) < 3:
                 raise ModelFormatError(line_no, "node line needs an id and a kind")
             nid = _int(tokens[1], line_no, "node id")
             if nid in nodes:
                 raise ModelFormatError(line_no, f"duplicate node id {nid}")
-            kind = tokens[2]
-            if kind in (SUM, PRODUCT, ONE):
-                if len(tokens) != 3:
-                    raise ModelFormatError(line_no, f"{kind} node takes no arguments")
-                nodes[nid] = Node(kind)
-            elif kind == PART:
-                if len(tokens) != 5 or tokens[4] not in ("pos", "neg"):
-                    raise ModelFormatError(line_no, "part node needs '<id> pos|neg'")
-                nodes[nid] = Node(PART, part=_part_id(tokens[3], line_no),
-                                  positive=tokens[4] == "pos")
-            elif kind == SPATIAL:
-                if len(tokens) != 6:
-                    raise ModelFormatError(line_no, "spatial node needs '<a> <b> <relation>'")
-                if tokens[5] not in TOKEN_RELATIONS:
-                    raise ModelFormatError(line_no, f"unknown relation {tokens[5]!r}")
-                pair = (_part_id(tokens[3], line_no), _part_id(tokens[4], line_no))
-                if pair[0] >= pair[1]:
-                    raise ModelFormatError(line_no, f"pair {pair} is not two canonically ordered parts")
-                nodes[nid] = Node(SPATIAL, pair=pair, relation=TOKEN_RELATIONS[tokens[5]])
-            else:
-                raise ModelFormatError(line_no, f"unknown node kind {kind!r}")
+            body = tuple(tokens[2:])
+            node = self._bodies.get(body)
+            if node is None:
+                node = self._bodies[body] = _parse_node(body, line_no)
+            nodes[nid] = node
+            self.node_line[nid] = line_no
         elif tag == "edge":
             if len(tokens) not in (3, 4):
                 raise ModelFormatError(line_no, "edge line needs parent, child and optional weight")
@@ -795,8 +820,7 @@ def deserialize(text: str | bytes) -> Network:
             child = _int(tokens[2], line_no, "edge endpoint")
             if parent not in nodes or child not in nodes:
                 raise ModelFormatError(line_no, f"edge refers to undeclared node")
-            parent_is_sum = nodes[parent].kind == SUM
-            if parent_is_sum:
+            if nodes[parent].kind == SUM:
                 if len(tokens) != 4:
                     raise ModelFormatError(line_no, "sum edge is missing its weight")
                 try:
@@ -811,52 +835,214 @@ def deserialize(text: str | bytes) -> Network:
                 if len(tokens) != 3:
                     raise ModelFormatError(line_no, "non-sum edge must not carry a weight")
                 weight = math.nan
-            edges.append((line_no, parent, child, weight))
+            self.edges.append((line_no, parent, child, weight))
+        elif tag == "class":
+            if len(tokens) != 2:
+                raise ModelFormatError(line_no, "class line needs one label")
+            self.class_label = tokens[1]
         elif tag == "root":
             if len(tokens) != 2:
                 raise ModelFormatError(line_no, "root line needs one id")
-            root = _int(tokens[1], line_no, "root id")
+            self.root = _int(tokens[1], line_no, "root id")
+            self.root_line = line_no
         elif tag == "shared":
             if len(tokens) != 2:
                 raise ModelFormatError(line_no, "shared line needs one edge id")
-            shared.add(_int(tokens[1], line_no, "shared edge id"))
+            self.shared.setdefault(_int(tokens[1], line_no, "shared edge id"), line_no)
         elif tag == "partition":
             body = line[len("partition"):].strip()
             if ":" not in body:
                 raise ModelFormatError(line_no, "partition line needs 'parent : children'")
             parent_part, child_part = body.split(":", 1)
-            parent_rect = _parse_rect(parent_part.split(), line_no)
-            child_rects = tuple(
-                _parse_rect(chunk.split(), line_no) for chunk in child_part.split("|")
-            )
-            partitions.append((parent_rect, child_rects))
+            parent_rect = _parse_rect(parent_part.split(), line_no, self._fractions)
+            child_rects = tuple(_parse_rect(chunk.split(), line_no, self._fractions)
+                                for chunk in child_part.split("|"))
+            self.partitions.append((parent_rect, child_rects))
         else:
             raise ModelFormatError(line_no, f"unknown line tag {tag!r}")
 
-    if root is None:
-        raise ModelFormatError(len(lines), "truncated model: missing root line")
-    n = len(nodes)
-    if sorted(nodes) != list(range(n)):
-        raise ModelFormatError(len(lines), "node ids are not dense 0..n-1")
-    if not (0 <= root < n):
-        raise ModelFormatError(len(lines), f"root {root} out of range")
-    for line_no, parent, child, _ in edges:
-        if not (0 <= parent < n and 0 <= child < n):
-            raise ModelFormatError(line_no, "edge endpoint out of range")
-    for edge_id in shared:
-        if not (0 <= edge_id < len(edges)):
-            raise ModelFormatError(len(lines), f"shared edge id {edge_id} out of range")
+    def admits(self, lines, parent, child, weighted) -> bool:
+        """Whether edge rows read elsewhere stand where this parse would take
+        them: both endpoints declared on an earlier line, and a weight if and
+        only if the parent is a sum node."""
+        if not len(lines):
+            return True
+        n = len(self.nodes)
+        if sorted(self.nodes) != list(range(n)) or max(parent.max(), child.max()) >= n:
+            return False
+        declared = np.array([self.node_line[i] for i in range(n)])
+        is_sum = np.array([self.nodes[i].kind == SUM for i in range(n)], dtype=bool)
+        return bool((declared[parent] < lines).all() and (declared[child] < lines).all()
+                    and np.array_equal(is_sum[parent], weighted))
 
-    return Network(
-        nodes=[nodes[i] for i in range(n)],
-        edge_parent=[e[1] for e in edges],
-        edge_child=[e[2] for e in edges],
-        edge_weight=[e[3] for e in edges],
-        root=root,
-        class_label=class_label,
-        shared_edges=shared,
-        partitions=partitions,
-    )
+    def network(self, n_lines: int, lines=(), parent=(), child=(), weight=()) -> Network:
+        """The network of the lines read, with the edge rows read elsewhere
+        (their line numbers, endpoints and weights) merged in by line."""
+        if self.root is None:
+            raise ModelFormatError(n_lines, "truncated model: missing root line")
+        n = len(self.nodes)
+        if sorted(self.nodes) != list(range(n)):
+            raise ModelFormatError(n_lines, "node ids are not dense 0..n-1")
+        if not (0 <= self.root < n):
+            raise ModelFormatError(self.root_line, f"root {self.root} out of range")
+        for edge_id, line_no in self.shared.items():
+            if not (0 <= edge_id < len(lines) + len(self.edges)):
+                raise ModelFormatError(line_no, f"shared edge id {edge_id} out of range")
+        if self.edges:
+            read = [np.array(column) for column in zip(*self.edges)]
+            if len(lines):
+                order = np.argsort(np.concatenate([lines, read[0]]), kind="stable")
+                parent, child, weight = (np.concatenate([bulk, one])[order] for bulk, one
+                                         in zip((parent, child, weight), read[1:]))
+            else:
+                _, parent, child, weight = read
+        return Network(
+            nodes=[self.nodes[i] for i in range(n)],
+            edge_parent=np.asarray(parent, dtype=np.int32),
+            edge_child=np.asarray(child, dtype=np.int32),
+            edge_weight=np.asarray(weight, dtype=np.float64),
+            root=self.root,
+            class_label=self.class_label,
+            shared_edges=self.shared,
+            partitions=self.partitions,
+        )
+
+
+def _parse_lines(text: str) -> Network:
+    """The line parser over a whole model file."""
+    lines = text.splitlines()
+    _check_header(lines[0] if lines else None)
+    parser = _LineParser()
+    for line_no, raw in enumerate(lines[1:], start=2):
+        parser.read(line_no, raw)
+    return parser.network(len(lines))
+
+
+# Line breaks of `str.splitlines` besides "\n", in UTF-8: a file holding one
+# numbers its lines by more than its "\n" bytes, so the line parser reads it
+_ASCII_BREAKS = tuple(ch.encode() for ch in "\r\x0b\x0c\x1c\x1d\x1e")
+_OTHER_BREAKS = _ASCII_BREAKS + tuple(ch.encode() for ch in "\x85\u2028\u2029")
+# the most digits an int32 always holds; a longer endpoint goes to the line parser
+MAX_ENDPOINT_DIGITS = 9
+# Lines per block of the edge pass, which bounds its temporaries on large files.
+EDGE_PASS_ROWS = 2 ** 16
+
+
+def _digits(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per row, the number buf[lo:hi] spells (1 to MAX_ENDPOINT_DIGITS bytes)
+    and whether one of those bytes is not a decimal digit."""
+    length = hi - lo
+    value = np.zeros(len(lo), dtype=np.int32)
+    bad = np.zeros(len(lo), dtype=bool)
+    for k in range(1, int(length.max(initial=0)) + 1):
+        inside = length >= k
+        digit = buf[hi - k] - np.uint8(48)  # bytes below "0" wrap past 9
+        bad |= inside & (digit > 9)
+        value += (digit * inside).astype(np.int32) * 10 ** (k - 1)
+    return value, bad
+
+
+def _canonical_edges(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                     first: int, last: int):
+    """The rows from `first` to `last` (lines from `starts` to `ends` in
+    `buf`, the bytes of `data`) that read `edge <parent> <child>` or
+    `edge <parent> <child> <weight>`: single spaces, 1 to
+    MAX_ENDPOINT_DIGITS decimal digits an endpoint, and a weight `float`
+    reads as finite and >= 0. Returns their row indices, endpoints, weights
+    (NaN where there is none) and weight mask."""
+    starts, ends = starts[first:last], ends[first:last]
+    rows = np.flatnonzero(ends - starts >= len("edge 0 0"))
+    lo = starts[rows]
+    prefix = np.ones(len(rows), dtype=bool)
+    for k, byte in enumerate(b"edge "):
+        prefix &= buf[lo + k] == byte
+    rows, lo = rows[prefix], lo[prefix]
+    hi = ends[rows]
+    # the space after "edge" and the two after it
+    spaces = np.flatnonzero(buf[starts[0]:ends[-1]] == 32) + starts[0]
+    spaces = np.append(spaces, [len(buf)] * 2)
+    after_edge = np.searchsorted(spaces, lo + 4)
+    gap, weight_gap = spaces[after_edge + 1], spaces[after_edge + 2]
+    weighted = weight_gap < hi
+    child_end = np.where(weighted, weight_gap, hi)
+    ok = ((gap - lo - 5 >= 1) & (gap - lo - 5 <= MAX_ENDPOINT_DIGITS)
+          & (child_end - gap - 1 >= 1) & (child_end - gap - 1 <= MAX_ENDPOINT_DIGITS))
+    rows, lo, gap, child_end, hi, weighted = (
+        a[ok] for a in (rows, lo, gap, child_end, hi, weighted))
+    endpoints, bad = _digits(buf, np.concatenate([lo + 5, gap + 1]),
+                             np.concatenate([gap, child_end]))
+    parent, child = np.split(endpoints, 2)
+    ok = ~np.logical_or(*np.split(bad, 2))
+
+    # the weight is the rest of the line: `float` strips ASCII whitespace
+    # from its ends and fails on any other byte that is not part of a
+    # number, so it reads exactly what the line parser's one weight token is
+    weight = np.full(len(rows), np.nan)
+    carry = np.flatnonzero(weighted)
+    values = []
+    for start, end in zip((child_end[carry] + 1).tolist(), hi[carry].tolist()):
+        try:
+            values.append(float(data[start:end]))
+        except ValueError:
+            values.append(math.nan)
+    weight[carry] = values
+    with np.errstate(invalid="ignore"):
+        ok[carry] &= np.isfinite(weight[carry]) & (weight[carry] >= 0)
+    return rows[ok] + first, parent[ok], child[ok], weight[ok], weighted[ok]
+
+
+def _decode(data: bytes) -> str:
+    """`data` as UTF-8 text; a byte that is not is an error at its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ModelFormatError(line_no, f"invalid UTF-8 byte {data[exc.start]:#04x}") from None
+
+
+def deserialize(text: str | bytes) -> Network:
+    """Parse a model file; errors carry the offending line number.
+
+    Canonical edge lines (see `_canonical_edges`) are read in one array pass
+    over the file's bytes and every other line by the line parser, in file
+    order. If a row of the pass does not stand where the line parser would
+    take it, or a line fails, the line parser reads the whole file and names
+    the first offending line."""
+    if isinstance(text, bytes):
+        data, text = text, _decode(text)
+    else:
+        data = text.encode("utf-8", "surrogatepass")
+    ascii_only = len(data) == len(text)  # any other character takes 2+ bytes
+    if any(brk in data for brk in (_ASCII_BREAKS if ascii_only else _OTHER_BREAKS)):
+        return _parse_lines(text)
+
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    if data and not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    n_lines = len(ends)
+    _check_header(data[:ends[0]].decode("utf-8", "surrogatepass") if n_lines else None)
+
+    blocks = [_canonical_edges(data, buf, starts, ends, first, first + EDGE_PASS_ROWS)
+              for first in range(0, n_lines, EDGE_PASS_ROWS)]
+    rows, parent, child, weight, weighted = map(np.concatenate, zip(*blocks))
+    line_rows = np.ones(n_lines, dtype=bool)
+    line_rows[0] = False
+    line_rows[rows] = False
+    line_rows = np.flatnonzero(line_rows)
+    parser = _LineParser()
+    try:
+        for row, lo, hi in zip(line_rows.tolist(), starts[line_rows].tolist(),
+                               ends[line_rows].tolist()):
+            # in ASCII text, byte offsets are character offsets
+            raw = text[lo:hi] if ascii_only else data[lo:hi].decode("utf-8", "surrogatepass")
+            parser.read(row + 1, raw)
+    except ModelFormatError:
+        parser = None
+    if parser is None or not parser.admits(rows + 1, parent, child, weighted):
+        return _parse_lines(text)
+    return parser.network(n_lines, rows + 1, parent, child, weight)
 
 
 def save_network(network: Network, path) -> None:
@@ -865,5 +1051,10 @@ def save_network(network: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+    """Read a model file; its errors name `path`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return deserialize(data)
+    except ModelFormatError as exc:
+        raise ModelFormatError(exc.line_no, exc.message, path=path) from None

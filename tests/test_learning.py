@@ -763,6 +763,30 @@ def test_load_bundle_rejects_malformed_manifest_lines(tmp_path, manifest_tail, w
     assert cli.main(["inspect", str(tmp_path)]) == cli.EXIT_INPUT
 
 
+def test_load_bundle_names_a_missing_class_file(tmp_path):
+    write_tied_bundle(tmp_path, "")
+    (tmp_path / "b.spn").unlink()
+    with pytest.raises(ModelFormatError, match="b.spn") as info:
+        load_bundle(tmp_path)
+    assert info.value.line_no == 6  # the manifest's `class b b.spn` line
+    assert cli.main(["inspect", str(tmp_path)]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("old, new, line_no, message", [
+    (b"class b", b"class \xffb", 2, "invalid UTF-8 byte 0xff"),
+    (b" 0.69999999999999996", b" x", 7, "bad weight 'x'"),
+], ids=["not-utf8", "bad-weight"])
+def test_class_file_errors_name_the_file(tmp_path, old, new, line_no, message):
+    write_tied_bundle(tmp_path, "")
+    path = tmp_path / "b.spn"
+    path.write_bytes(path.read_bytes().replace(old, new))
+    with pytest.raises(ModelFormatError) as info:
+        load_bundle(tmp_path)
+    assert (info.value.line_no, info.value.message) == (line_no, message)
+    assert str(info.value) == f"{path}, line {line_no}: {message}"
+    assert cli.main(["inspect", str(tmp_path)]) == cli.EXIT_INPUT
+
+
 def test_classify_rejects_unknown_parts():
     ds = generate_synthetic(mirror_pair_spec(images_per_class=20), np.random.default_rng(0))
     sc = StructureConfig(seed=0, s=2, D=1)

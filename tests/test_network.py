@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ from spatialspn.oracle import (
     reference_network,
 )
 
-from spatialspn.spatial import Relation, compute_relations
+from spatialspn.learning import TrainConfig, train_all
+from spatialspn.spatial import RELATION_TOKENS, TOKEN_RELATIONS, Relation, compute_relations
 from spatialspn.structure import (
     StructureConfig,
     build_class_network,
@@ -845,3 +847,355 @@ def test_batched_forward_peak_memory_is_bounded():
         tracemalloc.stop()
     assert net.num_edges > 25_000 and len(evidence) == 120
     assert peak < 8e6
+
+
+# ------------------------------------------- bulk load against the line parser
+
+
+def reference_serialize(network):
+    """The per-edge serializer the list-built edge block replaces."""
+    lines = [f"spn-model v{network_module.FORMAT_VERSION}"]
+    if network.class_label is not None:
+        lines.append(f"class {network.class_label}")
+    for nid, node in enumerate(network.nodes):
+        if node.kind == "part":
+            polarity = "pos" if node.positive else "neg"
+            lines.append(f"node {nid} part {node.part} {polarity}")
+        elif node.kind == "spatial":
+            token = RELATION_TOKENS[node.relation]
+            lines.append(f"node {nid} spatial {node.pair[0]} {node.pair[1]} {token}")
+        else:
+            lines.append(f"node {nid} {node.kind}")
+    for edge in range(network.num_edges):
+        parent = int(network.edge_parent[edge])
+        child = int(network.edge_child[edge])
+        if network.nodes[parent].kind == "sum":
+            lines.append(f"edge {parent} {child} {network.edge_weight[edge]:.17g}")
+        else:
+            lines.append(f"edge {parent} {child}")
+    lines.append(f"root {network.root}")
+    for edge in sorted(network.shared_edges):
+        lines.append(f"shared {edge}")
+    for parent_rect, child_rects in network.partitions:
+        children = " | ".join(" ".join(str(v) for v in r) for r in child_rects)
+        lines.append(f"partition {' '.join(str(v) for v in parent_rect)} : {children}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_int(token, line_no, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise ModelFormatError(line_no, f"bad {what} {token!r}") from None
+
+
+def _ref_part_id(token, line_no):
+    part = _ref_int(token, line_no, "part id")
+    if part < 0:
+        raise ModelFormatError(line_no, f"part id must be >= 0, got {part}")
+    return part
+
+
+def _ref_rect(tokens, line_no):
+    if len(tokens) != 4:
+        raise ModelFormatError(line_no, f"rectangle needs 4 coordinates, got {len(tokens)}")
+    try:
+        return tuple(Fraction(t) for t in tokens)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ModelFormatError(line_no, f"bad rectangle coordinate: {exc}") from None
+
+
+def reference_deserialize(text):
+    """The line-by-line parser the bulk load replaces, with one change: an
+    out-of-range root or shared edge id names its own line."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = text.splitlines()
+    if not lines:
+        raise ModelFormatError(0, "empty model file")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != "spn-model":
+        raise ModelFormatError(1, "expected 'spn-model v1' header")
+    if header[1] != "v1":
+        raise ModelFormatError(1, f"unsupported format version {header[1]!r}")
+
+    nodes = {}
+    edges = []
+    root = None
+    root_line = None
+    class_label = None
+    shared = {}  # edge id -> its first line
+    partitions = []
+
+    for line_no, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        tag = tokens[0]
+        if tag == "class":
+            if len(tokens) != 2:
+                raise ModelFormatError(line_no, "class line needs one label")
+            class_label = tokens[1]
+        elif tag == "node":
+            if len(tokens) < 3:
+                raise ModelFormatError(line_no, "node line needs an id and a kind")
+            nid = _ref_int(tokens[1], line_no, "node id")
+            if nid in nodes:
+                raise ModelFormatError(line_no, f"duplicate node id {nid}")
+            kind = tokens[2]
+            if kind in ("sum", "product", "one"):
+                if len(tokens) != 3:
+                    raise ModelFormatError(line_no, f"{kind} node takes no arguments")
+                nodes[nid] = Node(kind)
+            elif kind == "part":
+                if len(tokens) != 5 or tokens[4] not in ("pos", "neg"):
+                    raise ModelFormatError(line_no, "part node needs '<id> pos|neg'")
+                nodes[nid] = Node("part", part=_ref_part_id(tokens[3], line_no),
+                                  positive=tokens[4] == "pos")
+            elif kind == "spatial":
+                if len(tokens) != 6:
+                    raise ModelFormatError(line_no, "spatial node needs '<a> <b> <relation>'")
+                if tokens[5] not in TOKEN_RELATIONS:
+                    raise ModelFormatError(line_no, f"unknown relation {tokens[5]!r}")
+                pair = (_ref_part_id(tokens[3], line_no), _ref_part_id(tokens[4], line_no))
+                if pair[0] >= pair[1]:
+                    raise ModelFormatError(line_no, f"pair {pair} is not two canonically ordered parts")
+                nodes[nid] = Node("spatial", pair=pair, relation=TOKEN_RELATIONS[tokens[5]])
+            else:
+                raise ModelFormatError(line_no, f"unknown node kind {kind!r}")
+        elif tag == "edge":
+            if len(tokens) not in (3, 4):
+                raise ModelFormatError(line_no, "edge line needs parent, child and optional weight")
+            parent = _ref_int(tokens[1], line_no, "edge endpoint")
+            child = _ref_int(tokens[2], line_no, "edge endpoint")
+            if parent not in nodes or child not in nodes:
+                raise ModelFormatError(line_no, "edge refers to undeclared node")
+            if nodes[parent].kind == "sum":
+                if len(tokens) != 4:
+                    raise ModelFormatError(line_no, "sum edge is missing its weight")
+                try:
+                    weight = float(tokens[3])
+                except ValueError:
+                    raise ModelFormatError(line_no, f"bad weight {tokens[3]!r}") from None
+                if math.isnan(weight):
+                    raise ModelFormatError(line_no, "weight is NaN")
+                if weight < 0 or math.isinf(weight):
+                    raise ModelFormatError(line_no, f"weight must be finite and >= 0, got {weight}")
+            else:
+                if len(tokens) != 3:
+                    raise ModelFormatError(line_no, "non-sum edge must not carry a weight")
+                weight = math.nan
+            edges.append((line_no, parent, child, weight))
+        elif tag == "root":
+            if len(tokens) != 2:
+                raise ModelFormatError(line_no, "root line needs one id")
+            root = _ref_int(tokens[1], line_no, "root id")
+            root_line = line_no
+        elif tag == "shared":
+            if len(tokens) != 2:
+                raise ModelFormatError(line_no, "shared line needs one edge id")
+            shared.setdefault(_ref_int(tokens[1], line_no, "shared edge id"), line_no)
+        elif tag == "partition":
+            body = line[len("partition"):].strip()
+            if ":" not in body:
+                raise ModelFormatError(line_no, "partition line needs 'parent : children'")
+            parent_part, child_part = body.split(":", 1)
+            parent_rect = _ref_rect(parent_part.split(), line_no)
+            child_rects = tuple(_ref_rect(chunk.split(), line_no)
+                                for chunk in child_part.split("|"))
+            partitions.append((parent_rect, child_rects))
+        else:
+            raise ModelFormatError(line_no, f"unknown line tag {tag!r}")
+
+    if root is None:
+        raise ModelFormatError(len(lines), "truncated model: missing root line")
+    n = len(nodes)
+    if sorted(nodes) != list(range(n)):
+        raise ModelFormatError(len(lines), "node ids are not dense 0..n-1")
+    if not (0 <= root < n):
+        raise ModelFormatError(root_line, f"root {root} out of range")
+    for edge_id, line_no in shared.items():
+        if not (0 <= edge_id < len(edges)):
+            raise ModelFormatError(line_no, f"shared edge id {edge_id} out of range")
+
+    return Network(
+        nodes=[nodes[i] for i in range(n)],
+        edge_parent=[e[1] for e in edges],
+        edge_child=[e[2] for e in edges],
+        edge_weight=[e[3] for e in edges],
+        root=root,
+        class_label=class_label,
+        shared_edges=set(shared),
+        partitions=partitions,
+    )
+
+
+def assert_same_network(got, want):
+    assert got.nodes == want.nodes
+    assert got.root == want.root and got.class_label == want.class_label
+    for name in ("edge_parent", "edge_child", "edge_weight"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.shared_edges == want.shared_edges
+    assert got.partitions == want.partitions
+
+
+def marked(net, rng, label):
+    """`net` with a class label, some shared edges and two partitions."""
+    net.class_label = label
+    shared = rng.choice(net.num_edges, size=min(3, net.num_edges), replace=False)
+    net.shared_edges = set(shared.tolist())
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    whole = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
+    net.partitions = [
+        (whole, ((0, 0, half, 1), (half, 0, 1, 1))),
+        ((0, 0, half, 1), ((0, 0, half, third), (0, third, half, 1))),
+    ]
+    return net
+
+
+def trained_flat_networks():
+    """Both class networks of an fs-spn bundle trained on 3x6 strips."""
+    ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=12),
+                            np.random.default_rng(3))
+    bundle = train_all(ds, StructureConfig(seed=0), TrainConfig(
+        seed=0, mode="fs-spn", generative_epochs=2, discriminative_epochs=1,
+        max_pairs_per_epoch=50))
+    return list(bundle.networks.values())
+
+
+@pytest.mark.parametrize("block", [None, 32], ids=["one-block", "32-line-blocks"])
+def test_bulk_load_matches_line_parser(rng, monkeypatch, block):
+    if block:
+        monkeypatch.setattr(network_module, "EDGE_PASS_ROWS", block)
+    nets = [marked(random_network(rng), rng, f"c{i}") if i % 2 else random_network(rng)
+            for i in range(30)]
+    nets += [marked(random_network(rng), rng, "café"), marked(random_network(rng), rng, "日本")]
+    nets += [net for net, _ in preset_networks()] + trained_flat_networks()
+
+    def whole_file(text):
+        raise AssertionError("a valid file in serialize's layout fell back to the line parser")
+
+    monkeypatch.setattr(network_module, "_parse_lines", whole_file)
+    for net in nets:
+        text = reference_serialize(net)
+        assert serialize(net) == text
+        want = reference_deserialize(text)
+        assert_same_network(deserialize(text), want)
+        assert_same_network(deserialize(text.encode()), want)
+        assert serialize(deserialize(text)) == text
+
+
+def corrupt(lines, rng, n_nodes):
+    """One seeded single-line corruption of a model file's lines; returns the
+    new text and the name of the corruption."""
+    lines = list(lines)
+    edges = [i for i, line in enumerate(lines) if line.startswith("edge")]
+    i = int(rng.choice(edges)) if edges and rng.random() < 0.7 else int(rng.integers(1, len(lines)))
+    tokens = lines[i].split(" ")
+    kind = str(rng.choice(["replace"] * 6 + ["add", "drop", "swap", "later node", "crlf",
+                                                "cr line", "break", "insert", "spacing",
+                                                "no final newline"]))
+    if kind == "replace":
+        j = int(rng.integers(1, len(tokens))) if len(tokens) > 1 else 0
+        tokens[j] = str(rng.choice(["", "x", "-1", "+3", "007", "1_0", "1e3", "nan", "inf",
+                                    "-inf", "1e999", "9" * 30, "999999999", "1234567890",
+                                    str(n_nodes), str(n_nodes + 7), "0", "1", "0.25", "٣"]))
+        lines[i] = " ".join(tokens)
+    elif kind == "add":
+        tokens.insert(int(rng.integers(1, len(tokens) + 1)), str(rng.choice(["1", "0.5", "x"])))
+        lines[i] = " ".join(tokens)
+    elif kind == "drop":
+        del tokens[int(rng.integers(0, len(tokens)))]
+        lines[i] = " ".join(tokens)
+    elif kind == "swap":
+        j = int(rng.integers(1, len(lines)))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "later node" and edges:
+        # move the declaration of an edge's child below that edge
+        child = int(lines[int(rng.choice(edges))].split()[2])
+        k = lines.index(next(line for line in lines if line.startswith(f"node {child} ")))
+        lines.insert(int(rng.integers(k + 1, len(lines) + 1)), lines.pop(k))
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n", kind
+    elif kind == "no final newline":
+        return "\n".join(lines[:i + 1]), kind
+    elif kind == "cr line":
+        lines[i] += "\r"
+    elif kind == "break":
+        # a line break of `str.splitlines` other than "\n" inside a line
+        at = int(rng.integers(0, len(lines[i]) + 1))
+        brk = str(rng.choice(list("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")))
+        lines[i] = lines[i][:at] + brk + lines[i][at:]
+    elif kind == "insert":
+        lines.insert(i, str(rng.choice(["", "   ", "# a comment"])))
+    elif kind == "spacing":
+        lines[i] = str(rng.choice(["\t", "  "])).join(tokens) + str(rng.choice(["", " ", "\t"]))
+    return "\n".join(lines) + "\n", kind
+
+
+@pytest.mark.parametrize("block", [None, 32], ids=["one-block", "32-line-blocks"])
+def test_bulk_load_keeps_the_line_parsers_errors(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(network_module, "EDGE_PASS_ROWS", block)
+    rng = np.random.default_rng(2024)
+    bases = [marked(random_network(rng, max_parts=5, max_pairs=2), rng, "r") for _ in range(3)]
+    bases += [net for net, _ in preset_networks()[:3]]
+    outcomes = {"loaded": 0, "raised": 0}
+    kinds = set()
+    for case in range(750):
+        net = bases[case % len(bases)]
+        text, kind = corrupt(serialize(net).splitlines(), rng, net.num_nodes)
+        if case >= 600:  # a second corruption: the first error must win across lanes
+            text, kind = corrupt(text.splitlines(), rng, net.num_nodes)
+        kinds.add(kind)
+        try:
+            want = reference_deserialize(text)
+        except ModelFormatError as expected:
+            with pytest.raises(ModelFormatError) as info:
+                deserialize(text)
+            assert (info.value.line_no, str(info.value)) == (expected.line_no, str(expected)), kind
+            outcomes["raised"] += 1
+        else:
+            assert_same_network(deserialize(text), want)
+            outcomes["loaded"] += 1
+    assert len(kinds) == 11
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("body, line_no", [
+    ("node 0 sum\nnode 1 part 0 pos\nedge 0 1 1\nroot 7\n", 5),
+    ("node 0 sum\nnode 1 part 0 pos\nroot 9\nedge 0 1 1\nroot 7\n# end\n", 6),
+    ("node 0 sum\nnode 1 part 0 pos\nedge 0 1 1\nroot 0\nshared 0\nshared 4\nshared 0\n", 7),
+    ("node 0 sum\nnode 1 part 0 pos\nedge 0 1 1\nroot 0\nshared 3\nshared 0\nshared 3\n", 6),
+])
+def test_out_of_range_ids_name_their_line(body, line_no):
+    text = "spn-model v1\n" + body
+    for parse in (deserialize, reference_deserialize):
+        with pytest.raises(ModelFormatError, match="out of range") as info:
+            parse(text)
+        assert info.value.line_no == line_no
+
+
+def test_non_utf8_model_names_the_line_of_the_bad_byte():
+    data = b"spn-model v1\nclass caf\xc3\xa9\nnode 0 one\nclass \xff\nroot 0\n"
+    with pytest.raises(ModelFormatError, match="UTF-8") as info:
+        deserialize(data)
+    assert info.value.line_no == 4
+    assert deserialize(data.replace(b"\xff", b"x")).class_label == "x"
+
+
+def test_bulk_load_peak_memory_is_bounded():
+    ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
+                            np.random.default_rng(0))
+    net = build_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
+    text = serialize(net)
+    tracemalloc.start()
+    try:
+        back = deserialize(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.num_edges > 25_000 and back.num_edges == net.num_edges
+    assert peak < 9e6  # the line parser's peak is about 8.5 MB
