@@ -30,7 +30,7 @@ from .errors import (
     VocabularyMismatchError,
 )
 from .learning import TrainConfig, load_bundle, save_bundle, train_all
-from .metrics import accuracy_with_overrides, evaluate_bundle, scores_table
+from .metrics import ablation_accuracies, evaluate_bundle, scores_table
 from .structure import StructureConfig, pair_count
 
 EXIT_OK = 0
@@ -241,12 +241,9 @@ def cmd_inspect(args) -> int:
         if k > len(pairs):
             print(f"warning: only {len(pairs)} gadget pairs exist; clamping k={k}")
             k = len(pairs)
-        baseline = accuracy_with_overrides(bundle, dataset, ablated_pair=None)
+        baseline, *accuracies = ablation_accuracies(bundle, dataset, [None, *pairs])
         print(f"baseline accuracy: {baseline:.6f}")
-        drops = []
-        for pair in pairs:
-            acc = accuracy_with_overrides(bundle, dataset, ablated_pair=pair)
-            drops.append((baseline - acc, pair))
+        drops = [(baseline - acc, pair) for acc, pair in zip(accuracies, pairs)]
         drops.sort(key=lambda item: (-item[0], item[1]))
         for rank, (drop, pair) in enumerate(drops[:k], start=1):
             print(f"ablate rank {rank} pair {pair[0]} {pair[1]} drop: {drop:.6f}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .learning import ModelBundle, _bundle_evidence, _class_scores
-from .network import pair_column
+from .network import ROW_BLOCK_ELEMENTS, pair_column
 from .spatial import canonical_pair
 
 
@@ -98,15 +98,36 @@ def evaluate_bundle(bundle: ModelBundle, dataset: Dataset) -> EvalReport:
 
 
 def accuracy_with_overrides(bundle: ModelBundle, dataset: Dataset, ablated_pair=None) -> float:
-    """Argmax accuracy with one part pair marginalized in every image's evidence.
+    """Argmax accuracy with one part pair marginalized in every image's evidence
+    (none when `ablated_pair` is None); see `ablation_accuracies`."""
+    return ablation_accuracies(bundle, dataset, [ablated_pair])[0]
+
+
+def ablation_accuracies(bundle: ModelBundle, dataset: Dataset, ablated_pairs) -> list[float]:
+    """Argmax accuracy per entry of `ablated_pairs`, with that part pair
+    marginalized in every image's evidence (None ablates nothing).
 
     Setting the pair's relation indicators to 1 (rather than deleting its
     gadgets) keeps every network valid while removing the pair's geometric
-    evidence from the score."""
-    evidence = _bundle_evidence(bundle, dataset.records)
-    if ablated_pair is not None:
-        column = pair_column(*canonical_pair(*ablated_pair))
-        evidence[:, column:column + 4] = 1.0
-    rows = _class_scores(bundle, evidence)
-    correct = sum(label == record.klass for record, (_, label) in zip(dataset.records, rows))
-    return correct / max(len(dataset.records), 1)
+    evidence from the score. The images are encoded once; the ablated copies
+    are scored as the rows of one evidence matrix, in chunks of about
+    ROW_BLOCK_ELEMENTS evidence and node values."""
+    records = dataset.records
+    evidence = _bundle_evidence(bundle, records)
+    n = len(records)
+    width = evidence.shape[1] + max(net.num_nodes for net in bundle.networks.values())
+    per_chunk = max(1, ROW_BLOCK_ELEMENTS // max(1, n * width))
+    accuracies = []
+    for lo in range(0, len(ablated_pairs), per_chunk):
+        chunk = ablated_pairs[lo:lo + per_chunk]
+        stacked = np.tile(evidence, (len(chunk), 1))
+        for copy, pair in enumerate(chunk):
+            if pair is not None:
+                column = pair_column(*canonical_pair(*pair))
+                stacked[copy * n:(copy + 1) * n, column:column + 4] = 1.0
+        rows = _class_scores(bundle, stacked)
+        for copy in range(len(chunk)):
+            labels = rows[copy * n:(copy + 1) * n]
+            correct = sum(label == record.klass for record, (_, label) in zip(records, labels))
+            accuracies.append(correct / max(n, 1))
+    return accuracies

@@ -10,7 +10,9 @@ that co-occur there often enough.
 
 Scope bookkeeping: a sum node is only valid if its children cover identical
 variable sets, so every mixture child is completed to the region's full
-variable set with shared per-part and per-pair marginal nodes, and sibling
+variable set with shared per-part and per-pair marginal nodes (fillers),
+linked one by one or, where that takes fewer edges, through a balanced
+product tree over the region's fillers (see _Completion), and sibling
 regions claim variables exclusively (first region in partition order wins).
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -472,6 +475,94 @@ def _assign_region_stats(tree: PartitionTree, dataset: Dataset, klass: str, tau:
 # --------------------------------------------------------------- net building
 
 
+class _Completion:
+    """Scope completion of one region: its marginal fillers, parts then pairs
+    in region order, and the products that each need all of them but a few
+    holes.
+
+    Linked directly, a product takes one edge per filler it needs. Through a
+    balanced binary product tree over the fillers it takes the O(log K) tree
+    nodes that cover exactly those fillers, the segment-tree form of "product
+    of all but a few"; filler scopes are disjoint variables, so every tree
+    node is decomposable. The region takes the tree only when that gives
+    fewer edges, tree nodes included, over all of its products' requests;
+    otherwise each product links its fillers directly, as they are first
+    needed. Tree nodes are made on first use and carry the region's
+    annotation. `requests` holds, per product, the variables it models
+    itself."""
+
+    def __init__(self, owner: "_ClassNetBuilder", parts, pairs, requests, annotation):
+        self.owner = owner
+        self.parts, self.pairs = parts, pairs
+        self.annotation = annotation
+        self.k = len(parts) + len(pairs)
+        self._position = {v: i for i, v in enumerate([*parts, *pairs])}
+        self._segments: dict[tuple[int, int], int] = {}
+        holes = [self._holes(request) for request in requests]
+        covers = [self._cover(h) for h in holes]
+        inner: set[tuple[int, int]] = set()
+        for cover in covers:
+            for lo, hi in cover:
+                self._inner(lo, hi, inner)
+        tree_edges = sum(map(len, covers)) + 2 * len(inner)
+        self.tree = tree_edges < sum(self.k - len(h) for h in holes)
+
+    def _holes(self, request) -> list[int]:
+        return sorted(self._position[v] for v in request)
+
+    def _cover(self, holes) -> list[tuple[int, int]]:
+        """The maximal tree segments [lo, hi) without a hole, left to right."""
+        out = []
+
+        def walk(lo, hi, a, b):  # holes[a:b] lie in [lo, hi)
+            if a == b:
+                out.append((lo, hi))
+            elif hi - lo > 1:
+                mid = (lo + hi) // 2
+                m = bisect_left(holes, mid, a, b)
+                walk(lo, mid, a, m)
+                walk(mid, hi, m, b)
+
+        walk(0, self.k, 0, len(holes))
+        return out
+
+    def _inner(self, lo, hi, seen) -> None:
+        """Add the product segments of the subtree at [lo, hi) to `seen`."""
+        if hi - lo > 1 and (lo, hi) not in seen:
+            seen.add((lo, hi))
+            mid = (lo + hi) // 2
+            self._inner(lo, mid, seen)
+            self._inner(mid, hi, seen)
+
+    def _segment(self, lo, hi) -> int:
+        """The node over fillers lo..hi-1: the filler itself, or a tree node."""
+        if hi - lo == 1:
+            if lo < len(self.parts):
+                return self.owner.part_marginal(self.parts[lo])
+            return self.owner.pair_marginal(self.pairs[lo - len(self.parts)])
+        node = self._segments.get((lo, hi))
+        if node is None:
+            mid = (lo + hi) // 2
+            left, right = self._segment(lo, mid), self._segment(mid, hi)
+            b = self.owner.b
+            node = self._segments[lo, hi] = b.product(annotation=self.annotation)
+            b.edge(node, left)
+            b.edge(node, right)
+        return node
+
+    def fill(self, prod: int, request) -> None:
+        """Link `prod` to every filler of the region but those of the
+        variables in `request` (parts and pairs)."""
+        holes = self._holes(request)
+        if self.tree:
+            segments = self._cover(holes)
+        else:
+            skip = set(holes)
+            segments = [(i, i + 1) for i in range(self.k) if i not in skip]
+        for lo, hi in segments:
+            self.owner.b.edge(prod, self._segment(lo, hi))
+
+
 class _ClassNetBuilder:
     """Assembles one class network from a claimed partition tree."""
 
@@ -498,23 +589,6 @@ class _ClassNetBuilder:
             self._pair_marginals[pair] = node
         return self._pair_marginals[pair]
 
-    def completed_product(self, anchor: int, anchor_vars, all_parts, all_pairs, annotation):
-        """Wrap an anchor node with marginal fillers so it covers every
-        variable of the region; returns the anchor itself when nothing is
-        missing."""
-        anchor_parts, anchor_pairs = anchor_vars
-        fill_parts = [p for p in all_parts if p not in anchor_parts]
-        fill_pairs = [q for q in all_pairs if q not in anchor_pairs]
-        if not fill_parts and not fill_pairs:
-            return anchor
-        prod = self.b.product(annotation=annotation)
-        self.b.edge(prod, anchor)
-        for p in fill_parts:
-            self.b.edge(prod, self.part_marginal(p))
-        for q in fill_pairs:
-            self.b.edge(prod, self.pair_marginal(q))
-        return prod
-
     def leaf_region(self, node: TreeNode) -> int:
         region = node.region
         rect = region.rect()
@@ -526,33 +600,34 @@ class _ClassNetBuilder:
 
         partnered = {p for q in node.pairs for p in q}
         bias_parts = [p for p in node.parts if p not in partnered]
+        # uncommitted fallback component: pure marginals, so a dropped part
+        # degrades the region's score instead of zeroing the whole network
+        fallback = len(node.parts) + len(node.pairs) > 1 or not (node.pairs or bias_parts)
+        gadget_vars = [{*pair, pair} for pair in node.pairs]
+        requests = (gadget_vars + ([set(bias_parts)] if bias_parts else [])
+                    + ([set()] if fallback else []))
+        completion = _Completion(self, node.parts, node.pairs, requests, rect)
 
         children = []
-        for pair in node.pairs:
+        for pair, covered in zip(node.pairs, gadget_vars):
             gadget = add_gadget(self.b, pair, annotation=rect)
-            children.append(
-                self.completed_product(gadget, (set(pair), {pair}), node.parts, node.pairs, rect)
-            )
+            if len(covered) == completion.k:
+                children.append(gadget)
+                continue
+            prod = self.b.product(annotation=rect)
+            self.b.edge(prod, gadget)
+            completion.fill(prod, covered)
+            children.append(prod)
         if bias_parts:
             bias = self.b.product(annotation=rect)
             for p in bias_parts:
                 self.b.edge(bias, self.b.part(p, True))
-            for p in node.parts:
-                if p not in bias_parts:
-                    self.b.edge(bias, self.part_marginal(p))
-            for q in node.pairs:
-                self.b.edge(bias, self.pair_marginal(q))
+            completion.fill(bias, set(bias_parts))
             children.append(bias)
-
-        # uncommitted fallback component: pure marginals, so a dropped part
-        # degrades the region's score instead of zeroing the whole network
-        if len(node.parts) + len(node.pairs) > 1 or not children:
-            fallback = self.b.product(annotation=rect)
-            for p in node.parts:
-                self.b.edge(fallback, self.part_marginal(p))
-            for q in node.pairs:
-                self.b.edge(fallback, self.pair_marginal(q))
-            children.append(fallback)
+        if fallback:
+            prod = self.b.product(annotation=rect)
+            completion.fill(prod, set())
+            children.append(prod)
         elif node.parts and not node.pairs:
             children.append(self.part_marginal(node.parts[0]))
 
@@ -568,29 +643,20 @@ class _ClassNetBuilder:
             top = self.b.sum(annotation=rect)
             self.b.edge(top, self.b.one(), 1.0)
             return top
-        all_parts, all_pairs = node.parts, node.pairs
-        products = []
+        choices = []
         for choice in node.partitions:
-            covered_parts: set[int] = set()
-            covered_pairs: set[tuple[int, int]] = set()
-            members = []
-            for child in choice.children:
-                if not child.parts and not child.pairs:
-                    continue
-                members.append(self.build(child))
-                covered_parts.update(child.parts)
-                covered_pairs.update(child.pairs)
-            if not members:
-                continue
+            modeled = [child for child in choice.children if child.parts or child.pairs]
+            if modeled:
+                covered = {v for child in modeled for v in (*child.parts, *child.pairs)}
+                choices.append((modeled, covered))
+        completion = _Completion(self, node.parts, node.pairs, [c for _, c in choices], rect)
+        products = []
+        for modeled, covered in choices:
+            members = [self.build(child) for child in modeled]
             prod = self.b.product(annotation=rect)
             for member in members:
                 self.b.edge(prod, member)
-            for p in all_parts:
-                if p not in covered_parts:
-                    self.b.edge(prod, self.part_marginal(p))
-            for q in all_pairs:
-                if q not in covered_pairs:
-                    self.b.edge(prod, self.pair_marginal(q))
+            completion.fill(prod, covered)
             products.append(prod)
         if not products:
             # every partition collapsed; fall back to modeling the region flat
@@ -631,31 +697,25 @@ def build_class_network(tree: PartitionTree, dataset: Dataset, klass: str,
 
 
 def count_gadgets(network: Network) -> int:
-    """Number of pair-gadget instances (gadget sum nodes) in a network."""
-
-    count = 0
-    for node in range(network.num_nodes):
-        if network.nodes[node].kind != SUM:
-            continue
-        kids = network.children(node)
-        if len(kids) != 4:
-            continue
-        pairs = set()
-        ok = True
-        for child in kids:
-            if network.nodes[child].kind != PRODUCT:
-                ok = False
-                break
-            spatial_kids = [
-                c for c in network.children(child) if network.nodes[c].kind == SPATIAL
-            ]
-            if len(spatial_kids) != 1:
-                ok = False
-                break
-            pairs.add(network.nodes[spatial_kids[0]].pair)
-        if ok and len(pairs) == 1:
-            count += 1
-    return count
+    """Number of pair-gadget instances in a network: sum nodes with four
+    children, each a product with exactly one spatial child, all of one
+    pair."""
+    n, parent, child = network.num_nodes, network.edge_parent, network.edge_child
+    kinds = np.array([nd.kind for nd in network.nodes])
+    pair_ids: dict[tuple[int, int], int] = {}
+    pair = np.array([pair_ids.setdefault(nd.pair, len(pair_ids)) if nd.kind == SPATIAL else -1
+                     for nd in network.nodes], dtype=np.int64)
+    to_spatial = kinds[child] == SPATIAL
+    # a product's spatial child count, and the pair of its spatial child
+    # (the one that counts where there is exactly one)
+    single = (kinds == PRODUCT) & (np.bincount(parent[to_spatial], minlength=n) == 1)
+    product_pair = np.full(n, -1, dtype=np.int64)
+    product_pair[parent[to_spatial]] = pair[child[to_spatial]]
+    fanout = np.diff(network._cs_start)
+    sums = np.flatnonzero((kinds == SUM) & (fanout == 4))
+    kids = network._cs_child[network._cs_start[sums][:, None] + np.arange(4)]
+    same_pair = (product_pair[kids] == product_pair[kids[:, :1]]).all(axis=1)
+    return int((single[kids].all(axis=1) & same_pair).sum())
 
 
 # ------------------------------------------------------------------- sharing
@@ -668,33 +728,41 @@ class SharedStructure:
     groups: list[list[tuple[int, int]]]  # (network index, edge id)
 
 
-def _node_signatures(network: Network) -> list:
-    """Structural signatures, bottom-up.
+def _node_signatures(network: Network) -> list[str]:
+    """Structural signatures, bottom-up, as the repr of a nested tuple: a
+    leaf's kind and variable, an internal node's kind, region annotation and
+    children sorted by signature. Each string is built once from its
+    children's strings, so no tuple of Fractions is hashed or printed twice.
 
     A sum node's signature also names its argmax child: two class networks
     only share a sub-structure when they model the same dominant
     configuration (a gadget's identity is its pair plus the relation it has
     learned, per-region), so merging never averages away opposing weights."""
-    sigs = [None] * network.num_nodes
-    for node in network.topological_order():
+    sigs = [""] * network.num_nodes
+    annotations: dict[int, str] = {}  # repr per annotation object
+    for node in network.topological_order().tolist():
         nd = network.nodes[node]
         if nd.kind == PART:
-            sigs[node] = ("part", nd.part, nd.positive)
+            sigs[node] = repr(("part", nd.part, nd.positive))
         elif nd.kind == SPATIAL:
-            sigs[node] = ("spatial", nd.pair, int(nd.relation))
+            sigs[node] = repr(("spatial", nd.pair, int(nd.relation)))
         elif nd.kind == ONE:
-            sigs[node] = ("one",)
+            sigs[node] = repr(("one",))
         else:
-            children = tuple(sorted((sigs[c] for c in network.children(node)), key=repr))
+            children = sorted(sigs[c] for c in network.children(node).tolist())
+            inner = ", ".join(children) + ("," if len(children) == 1 else "")
             annotation = network.region_of.get(node)
+            if id(annotation) not in annotations:
+                annotations[id(annotation)] = repr(annotation)
+            head = f"({nd.kind!r}, {annotations[id(annotation)]}, ({inner})"
             if nd.kind == SUM:
                 edges = network.child_edges(node)
                 weights = network.edge_weight[edges]
                 best = np.flatnonzero(weights >= weights.max() - 1e-12)
-                mode_sig = min((sigs[network.edge_child[edges[i]]] for i in best), key=repr)
-                sigs[node] = (nd.kind, annotation, children, mode_sig)
+                mode_sig = min(sigs[network.edge_child[edges[i]]] for i in best)
+                sigs[node] = f"{head}, {mode_sig})"
             else:
-                sigs[node] = (nd.kind, annotation, children)
+                sigs[node] = f"{head})"
     return sigs
 
 
@@ -705,35 +773,41 @@ def find_shared_structures(networks: list[Network]) -> SharedStructure:
     their argmax child, so a gadget only matches a gadget modeling the same
     dominant relation in the same region. Every matched edge is marked
     shared; the returned groups (the joint-training units) carry the
-    weighted sum edges only."""
+    weighted sum edges only. An edge's key is (parent signature, its
+    occurrence, child signature, its occurrence), each signature held as a
+    small id; groups come in the order of the keys' reprs."""
     if len(networks) < 2:
         raise ContractViolationError("sharing needs at least two class networks")
 
-    edge_keys: dict[tuple, list[tuple[int, int]]] = {}
+    ids: dict[str, int] = {}
+    edge_keys: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
     sum_edge: dict[tuple[int, int], bool] = {}
     for net_idx, net in enumerate(networks):
-        sigs = _node_signatures(net)
-        seen_parent: dict[tuple, int] = {}
-        for node in range(net.num_nodes):
-            if net.nodes[node].kind not in (SUM, PRODUCT):
+        sigs = [ids.setdefault(s, len(ids)) for s in _node_signatures(net)]
+        seen_parent: dict[int, int] = {}
+        for node, nd in enumerate(net.nodes):
+            if nd.kind not in (SUM, PRODUCT):
                 continue
             parent_sig = sigs[node]
             parent_occ = seen_parent.get(parent_sig, 0)
             seen_parent[parent_sig] = parent_occ + 1
-            child_edges = sorted(
-                net.child_edges(node), key=lambda e: (repr(sigs[net.edge_child[e]]), int(e))
-            )
-            child_occ: dict[tuple, int] = {}
-            for edge in child_edges:
-                child_sig = sigs[net.edge_child[edge]]
+            child_occ: dict[int, int] = {}
+            for child_sig, edge in sorted((sigs[c], e) for c, e in zip(
+                    net.children(node).tolist(), net.child_edges(node).tolist())):
                 occ = child_occ.get(child_sig, 0)
                 child_occ[child_sig] = occ + 1
-                key = (parent_sig, parent_occ, child_sig, occ)
-                edge_keys.setdefault(key, []).append((net_idx, int(edge)))
-                sum_edge[(net_idx, int(edge))] = net.nodes[node].kind == SUM
+                edge_keys.setdefault((parent_sig, parent_occ, child_sig, occ), []).append(
+                    (net_idx, edge))
+                sum_edge[(net_idx, edge)] = nd.kind == SUM
 
+    # a signature is a whole bracketed repr, never a prefix of another, so
+    # the repr of a key sorts as its signatures' ranks and its occurrences'
+    # decimal strings do
+    rank = [0] * len(ids)
+    for r, sig in enumerate(sorted(ids)):
+        rank[ids[sig]] = r
     groups = []
-    for key in sorted(edge_keys, key=lambda k: repr(k)):
+    for key in sorted(edge_keys, key=lambda k: (rank[k[0]], str(k[1]), rank[k[2]], str(k[3]))):
         members = edge_keys[key]
         if len({idx for idx, _ in members}) >= 2:
             for idx, edge in members:

@@ -18,9 +18,9 @@ from spatialspn.network import (
 )
 from spatialspn.oracle import brute_force_mpe, random_evidence, random_network
 from spatialspn.spatial import Relation
-from spatialspn.structure import StructureConfig, build_flat_network
+from spatialspn.structure import StructureConfig
 
-from conftest import chain_network, one_hot
+from conftest import chain_network, one_hot, reference_flat_network
 from test_network import preset_networks, random_records
 
 
@@ -394,7 +394,7 @@ def test_mpe_raises_typed_error_on_nan_score():
 def test_batched_backtrack_peak_memory_is_bounded():
     ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
                             np.random.default_rng(0))
-    net = build_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
+    net = reference_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
     log_values = _forward(net, encode_records(ds.records[:120], ds.vocabulary_size), "max")
     _backtrack(net, log_values[:1])  # compile the plan outside the trace
     tracemalloc.start()

@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spatialspn.data import generate_synthetic, mirror_pair_spec
-from spatialspn.learning import TrainConfig, train_all
+import spatialspn.metrics as metrics_module
+from spatialspn.data import generate_synthetic, mirror_pair_spec, preset_spec, strip_grid_spec
+from spatialspn.learning import TrainConfig, _bundle_evidence, _class_scores, train_all
 from spatialspn.metrics import (
+    ablation_accuracies,
     accuracy_with_overrides,
     average_precision,
     evaluate_bundle,
 )
+from spatialspn.network import pair_column
+from spatialspn.spatial import canonical_pair
 from spatialspn.structure import StructureConfig
 
 
@@ -105,3 +111,64 @@ def test_ablated_pair_order_does_not_matter(mirror_bundle_and_data):
     assert accuracy_with_overrides(bundle, test_ds, (1, 0)) == accuracy_with_overrides(
         bundle, test_ds, (0, 1)
     )
+
+
+# ------------------------------------------------------- stacked ablation
+
+
+def reference_accuracy_with_overrides(bundle, dataset, ablated_pair=None):
+    """The per-pair scoring the stacked sweep replaces: one evidence matrix
+    and one forward pass per network for each ablated pair."""
+    evidence = _bundle_evidence(bundle, dataset.records)
+    if ablated_pair is not None:
+        column = pair_column(*canonical_pair(*ablated_pair))
+        evidence[:, column:column + 4] = 1.0
+    rows = _class_scores(bundle, evidence)
+    correct = sum(label == record.klass for record, (_, label) in zip(dataset.records, rows))
+    return correct / max(len(dataset.records), 1)
+
+
+def preset_bundle(name, seed=0):
+    spec = (strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=12)
+            if name == "strips" else preset_spec(name, 20))
+    train_ds = generate_synthetic(spec, np.random.default_rng(seed))
+    test_ds = generate_synthetic(spec, np.random.default_rng(seed + 1))
+    mode = "fs-spn" if name == "strips" else "ihs-spn"
+    tc = TrainConfig(seed=0, mode=mode, generative_epochs=2, discriminative_epochs=1,
+                     max_pairs_per_epoch=40)
+    return train_all(train_ds, StructureConfig(seed=0, s=2, D=1), tc), test_ds
+
+
+def modeled_pairs(bundle):
+    return sorted({q for net in bundle.networks.values() for q in net.pair_universe})
+
+
+@pytest.mark.parametrize("name", ["mirror", "split", "shared", "strips"])
+def test_ablation_sweep_matches_per_pair_loop(name, monkeypatch):
+    bundle, test_ds = preset_bundle(name)
+    test_ds.records = test_ds.records[::2]
+    sweep = [None] + modeled_pairs(bundle) + [(97, 98)]
+    want = [reference_accuracy_with_overrides(bundle, test_ds, pair) for pair in sweep]
+    evidence = _bundle_evidence(bundle, test_ds.records)
+    row = evidence.shape[1] + max(net.num_nodes for net in bundle.networks.values())
+    # one chunk, then three copies a chunk (the last one partly filled), then one
+    for copies in (len(sweep), 3, 1):
+        monkeypatch.setattr(metrics_module, "ROW_BLOCK_ELEMENTS", copies * len(test_ds.records) * row)
+        assert ablation_accuracies(bundle, test_ds, sweep) == want
+    assert [accuracy_with_overrides(bundle, test_ds, pair) for pair in sweep] == want
+
+
+def test_ablation_sweep_peak_memory_is_bounded():
+    bundle, test_ds = preset_bundle("strips")
+    sweep = [None] + modeled_pairs(bundle)
+    stacked = len(sweep) * len(test_ds.records) * (
+        2 * 18 ** 2 + max(net.num_nodes for net in bundle.networks.values())) * 8
+    tracemalloc.start()
+    try:
+        ablation_accuracies(bundle, test_ds, sweep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sweep) > 100 and stacked > 20 * 1e6
+    assert peak < 8e6
+

@@ -56,7 +56,7 @@ from spatialspn.structure import (
     learn_partition_tree,
 )
 
-from conftest import chain_network, one_hot
+from conftest import chain_network, one_hot, reference_flat_network
 
 
 def test_reference_network_is_valid(ref_net):
@@ -243,7 +243,7 @@ def test_validate_matches_per_node_reference(rng):
 def test_validate_peak_memory_is_bounded():
     ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
                             np.random.default_rng(0))
-    net = build_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
+    net = reference_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
     tracemalloc.start()
     try:
         report = validate(net)
@@ -836,7 +836,7 @@ def test_batched_forward_is_bit_identical_to_per_image_reference(rng, mode, monk
 def test_batched_forward_peak_memory_is_bounded():
     ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
                             np.random.default_rng(0))
-    net = build_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
+    net = reference_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
     evidence = encode_records(ds.records[:120], ds.vocabulary_size)
     _forward(net, evidence[:1], "sum")  # compile the plan outside the trace
     tracemalloc.start()
@@ -1189,7 +1189,7 @@ def test_non_utf8_model_names_the_line_of_the_bad_byte():
 def test_bulk_load_peak_memory_is_bounded():
     ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
                             np.random.default_rng(0))
-    net = build_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
+    net = reference_flat_network(ds, ds.classes[0], StructureConfig(seed=0))
     text = serialize(net)
     tracemalloc.start()
     try:

@@ -7,17 +7,32 @@ import spatialspn.structure as structure_module
 from spatialspn.data import (
     generate_synthetic,
     mirror_pair_spec,
+    preset_spec,
     shared_halves_spec,
     split_grid_spec,
     strip_grid_spec,
 )
 from spatialspn.errors import InsufficientDataError
-from spatialspn.network import assignment_to_indicators, evaluate, serialize, validate
+from spatialspn.inference import _backtrack
+from spatialspn.learning import TrainConfig, save_bundle, train_all
+from spatialspn.network import (
+    NetworkBuilder,
+    _forward,
+    assignment_to_indicators,
+    encode_records,
+    evaluate,
+    serialize,
+    validate,
+)
+from spatialspn.oracle import random_network
+from spatialspn.spatial import Relation
 from spatialspn.structure import (
     Partition,
+    PartitionChoice,
     PartitionTree,
     Region,
     StructureConfig,
+    TreeNode,
     _logistic_fit,
     _score_partitions,
     build_class_network,
@@ -33,6 +48,8 @@ from spatialspn.structure import (
     score_partition,
     strip_partition,
 )
+
+from conftest import reference_flat_network, reference_network_for
 
 
 def config(**kw):
@@ -389,3 +406,333 @@ def test_structure_config_validation():
         StructureConfig(s=1)
     with pytest.raises(ValueError):
         StructureConfig(D=0)
+
+
+# ------------------------------------------------------- scope completion
+
+
+def reference_count_gadgets(network):
+    """The per-node loop `count_gadgets` replaces."""
+    count = 0
+    for node in range(network.num_nodes):
+        if network.nodes[node].kind != "sum":
+            continue
+        kids = network.children(node)
+        if len(kids) != 4:
+            continue
+        pairs = set()
+        ok = True
+        for child in kids:
+            if network.nodes[child].kind != "product":
+                ok = False
+                break
+            spatial_kids = [
+                c for c in network.children(child) if network.nodes[c].kind == "spatial"
+            ]
+            if len(spatial_kids) != 1:
+                ok = False
+                break
+            pairs.add(network.nodes[spatial_kids[0]].pair)
+        if ok and len(pairs) == 1:
+            count += 1
+    return count
+
+
+def filler_edge_counts(network, edge_counts):
+    """Counts of the filler-sum edges, keyed by the indicator leaf each one
+    reaches: a network has one marginal sum per part and per pair."""
+    kinds = np.array([nd.kind for nd in network.nodes])
+    parent, child = network.edge_parent, network.edge_child
+    edges = np.flatnonzero((kinds[parent] == "sum") & np.isin(kinds[child], ["part", "spatial"]))
+    return {network.nodes[child[e]]: int(edge_counts[e]) for e in edges.tolist()}
+
+
+def share_random_weights(net, ref, rng):
+    """Give the k-th sum node of both networks the same random weights; both
+    builders make the same sum nodes, in the same order, with the same
+    child-edge order."""
+    sums = [np.flatnonzero([nd.kind == "sum" for nd in n.nodes]) for n in (net, ref)]
+    assert len(sums[0]) == len(sums[1])
+    for a, b in zip(*sums):
+        weights = rng.random(len(net.child_edges(a))) + 0.05
+        net.edge_weight[net.child_edges(a)] = weights
+        ref.edge_weight[ref.child_edges(b)] = weights
+
+
+def assert_same_function(net, ref, records, vocabulary_size):
+    """Equal root values in sum and max mode within 1e-12 relative, equal
+    MPE counts on every filler-sum edge, both valid, equal gadget counts."""
+    assert validate(net).ok and validate(ref).ok
+    assert count_gadgets(net) == count_gadgets(ref)
+    evidence = encode_records(records, vocabulary_size)
+    for mode in ("sum", "max"):
+        got, want = (_forward(n, evidence, mode)[:, n.root] for n in (net, ref))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    got, want = (filler_edge_counts(n, _backtrack(n, _forward(n, evidence, "max"))[1])
+                 for n in (net, ref))
+    assert got == want and got
+
+
+@pytest.fixture(scope="module")
+def preset_builds():
+    """(dataset, class, network, reference network) over every preset, flat
+    and hierarchical, at several tree shapes."""
+    return list(_preset_builds())
+
+
+def _preset_builds():
+    for name in ("mirror", "split", "shared", "strips"):
+        spec = (strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=20)
+                if name == "strips" else preset_spec(name, 40))
+        ds = generate_synthetic(spec, np.random.default_rng(0))
+        for klass in ds.classes[:2]:
+            cfg = config()
+            yield ds, klass, build_flat_network(ds, klass, cfg), reference_flat_network(ds, klass, cfg)
+            if spec.vocabulary_size > 8:
+                continue
+            for s, D in ((2, 1), (2, 2), (3, 2)):
+                cfg = config(s=s, D=D)
+                tree = learn_partition_tree(ds, klass, cfg)
+                yield (ds, klass, build_class_network(tree, ds, klass, cfg),
+                       reference_network_for(tree, ds, klass, cfg))
+
+
+def test_builder_matches_direct_layout_on_presets(preset_builds):
+    rng = np.random.default_rng(3)
+    same_bytes = fewer_edges = 0
+    for ds, klass, net, ref in preset_builds:
+        # a region takes the tree only when it saves edges; otherwise the
+        # direct layout is kept to the byte
+        if net.num_edges == ref.num_edges:
+            assert serialize(net) == serialize(ref)
+            same_bytes += 1
+        else:
+            assert net.num_edges < ref.num_edges
+            fewer_edges += 1
+        assert_same_function(net, ref, ds.records, ds.vocabulary_size)
+        share_random_weights(net, ref, rng)
+        assert_same_function(net, ref, ds.records[::5], ds.vocabulary_size)
+    assert same_bytes and fewer_edges
+
+
+def random_partition_tree(rng, config, depth):
+    """Up to two random strip partitions per region, to `depth` levels."""
+    def expand(region, level):
+        node = TreeNode(region=region)
+        if level < depth:
+            s = int(rng.integers(2, 4))
+            for partition in sample_partitions(region, config, rng, s=s)[:int(rng.integers(0, 3))]:
+                children = [expand(child, level + 1) for child in partition.children]
+                node.partitions.append(PartitionChoice(partition, 1.0, children))
+        return node
+
+    return PartitionTree(expand(Region.whole(), 0), config)
+
+
+def test_builder_matches_direct_layout_on_random_partition_trees():
+    rng = np.random.default_rng(11)
+    ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=12),
+                            np.random.default_rng(1))
+    fewer_edges = 0
+    for trial in range(12):
+        cfg = config(M=5, tau=float(rng.choice([0.05, 0.1, 0.2])), min_region_area=0.01)
+        tree = random_partition_tree(rng, cfg, depth=int(rng.integers(1, 4)))
+        klass = ds.classes[trial % 2]
+        net = build_class_network(tree, ds, klass, cfg)
+        ref = reference_network_for(tree, ds, klass, cfg)
+        fewer_edges += net.num_edges < ref.num_edges
+        share_random_weights(net, ref, rng)
+        assert_same_function(net, ref, ds.records[::4], ds.vocabulary_size)
+    assert fewer_edges
+
+
+@pytest.fixture(scope="module")
+def ac11_networks():
+    """AC-11's hierarchical (5 strips x 10 parts) and 50-part flat networks,
+    each with its direct-layout reference."""
+    ds = generate_synthetic(strip_grid_spec(images_per_class=30), np.random.default_rng(0))
+    cfg = config(s=5)
+    tree = manual_tree(strip_partition(Region.whole(), "v", (4, 8, 12, 16)), cfg)
+    return ds, [(build_class_network(tree, ds, "a", cfg), reference_network_for(tree, ds, "a", cfg)),
+                (build_flat_network(ds, "a", cfg), reference_flat_network(ds, "a", cfg))]
+
+
+def test_builder_matches_direct_layout_on_ac11(ac11_networks):
+    ds, pairs = ac11_networks
+    for net, ref in pairs:
+        assert_same_function(net, ref, ds.records[:3], ds.vocabulary_size)
+    assert [count_gadgets(net) for net, _ in pairs] == [225, 1225]
+
+
+def test_tree_completion_size_guard(ac11_networks):
+    ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=60),
+                            np.random.default_rng(0))
+    strips = build_flat_network(ds, ds.classes[0], config())
+    flat50 = ac11_networks[1][1][0]
+    assert strips.num_edges <= 8_000 and flat50.num_edges <= 80_000
+
+
+def mixed_pair_gadget():
+    """A gadget-shaped sum whose four products carry four different pairs."""
+    b = NetworkBuilder()
+    root = b.sum()
+    for pair, rel in zip(((0, 1), (0, 2), (1, 2), (0, 3)), Relation):
+        prod = b.product()
+        b.edge(prod, b.spatial(pair, rel))
+        b.edge(root, prod, 0.25)
+    return b.build(root=root)
+
+
+def test_count_gadgets_matches_loop_reference(rng, preset_builds, ac11_networks):
+    nets = [random_network(rng) for _ in range(40)] + [mixed_pair_gadget()]
+    nets += [n for _, _, net, ref in preset_builds for n in (net, ref)]
+    nets += [n for pair in ac11_networks[1] for n in pair]
+    counts = [count_gadgets(net) for net in nets]
+    assert counts == [reference_count_gadgets(net) for net in nets]
+    assert any(counts[:40]) and not all(counts[:40]) and counts[40] == 0
+
+
+# ------------------------------------------------- interned signatures
+
+
+def reference_node_signatures(network):
+    """The nested-tuple signatures the interned strings replace.
+
+    A sum node's signature also names its argmax child: two class networks
+    only share a sub-structure when they model the same dominant
+    configuration (a gadget's identity is its pair plus the relation it has
+    learned, per-region), so merging never averages away opposing weights."""
+    sigs = [None] * network.num_nodes
+    for node in network.topological_order():
+        nd = network.nodes[node]
+        if nd.kind == "part":
+            sigs[node] = ("part", nd.part, nd.positive)
+        elif nd.kind == "spatial":
+            sigs[node] = ("spatial", nd.pair, int(nd.relation))
+        elif nd.kind == "one":
+            sigs[node] = ("one",)
+        else:
+            children = tuple(sorted((sigs[c] for c in network.children(node)), key=repr))
+            annotation = network.region_of.get(node)
+            if nd.kind == "sum":
+                edges = network.child_edges(node)
+                weights = network.edge_weight[edges]
+                best = np.flatnonzero(weights >= weights.max() - 1e-12)
+                mode_sig = min((sigs[network.edge_child[edges[i]]] for i in best), key=repr)
+                sigs[node] = (nd.kind, annotation, children, mode_sig)
+            else:
+                sigs[node] = (nd.kind, annotation, children)
+    return sigs
+
+
+def reference_find_shared_structures(networks):
+    """The tuple-keyed grouping `find_shared_structures` replaces.
+
+    Signatures are structural with one weight-aware component: sums name
+    their argmax child, so a gadget only matches a gadget modeling the same
+    dominant relation in the same region. Every matched edge is marked
+    shared; the returned groups (the joint-training units) carry the
+    weighted sum edges only."""
+    if len(networks) < 2:
+        raise AssertionError("sharing needs at least two class networks")
+
+    edge_keys = {}
+    sum_edge = {}
+    for net_idx, net in enumerate(networks):
+        sigs = reference_node_signatures(net)
+        seen_parent = {}
+        for node in range(net.num_nodes):
+            if net.nodes[node].kind not in ("sum", "product"):
+                continue
+            parent_sig = sigs[node]
+            parent_occ = seen_parent.get(parent_sig, 0)
+            seen_parent[parent_sig] = parent_occ + 1
+            child_edges = sorted(
+                net.child_edges(node), key=lambda e: (repr(sigs[net.edge_child[e]]), int(e))
+            )
+            child_occ = {}
+            for edge in child_edges:
+                child_sig = sigs[net.edge_child[edge]]
+                occ = child_occ.get(child_sig, 0)
+                child_occ[child_sig] = occ + 1
+                key = (parent_sig, parent_occ, child_sig, occ)
+                edge_keys.setdefault(key, []).append((net_idx, int(edge)))
+                sum_edge[(net_idx, int(edge))] = net.nodes[node].kind == "sum"
+
+    groups = []
+    for key in sorted(edge_keys, key=lambda k: repr(k)):
+        members = edge_keys[key]
+        if len({idx for idx, _ in members}) >= 2:
+            for idx, edge in members:
+                networks[idx].shared_edges.add(edge)
+            if all(sum_edge[m] for m in members):
+                groups.append(sorted(members))
+    return groups
+
+
+def assert_same_sharing(networks):
+    """Equal groups and shared edges from both groupings, on copies."""
+    got = [net.copy() for net in networks]
+    want = [net.copy() for net in networks]
+    assert find_shared_structures(got).groups == reference_find_shared_structures(want)
+    assert [net.shared_edges for net in got] == [net.shared_edges for net in want]
+
+
+def test_interned_signatures_match_tuple_reference(preset_builds):
+    rng = np.random.default_rng(5)
+    # the reference prints every signature once per parent, so the large
+    # strips networks are left out
+    builds = [(ds, klass, net) for ds, klass, net, _ in preset_builds if net.num_edges < 1000]
+    first = [net for ds, klass, net in builds if klass == ds.classes[0]]
+    second = [net for ds, klass, net in builds if klass == ds.classes[1]]
+    assert len(first) == len(second) == 12
+    for net in first:
+        want = [repr(sig) for sig in reference_node_signatures(net)]
+        assert structure_module._node_signatures(net) == want
+    for net, twin in zip(first, second):
+        # the same structure under other weights: some argmax children differ
+        other = net.copy()
+        sums = np.flatnonzero([other.nodes[int(p)].kind == "sum" for p in other.edge_parent])
+        other.edge_weight[sums] = rng.random(len(sums))
+        assert_same_sharing([net, other])
+        assert_same_sharing([net, twin])
+    # networks with tree nodes, the flat class networks among them
+    trees = [net for _, _, net, ref in preset_builds if net.num_edges < min(ref.num_edges, 1000)]
+    assert len(trees) >= 4
+    assert_same_sharing(trees[:4])
+    # twelve same-signature children: keys order by the decimal string of
+    # their occurrence ("10" before "2"), as the reprs of the keys do
+    b = NetworkBuilder()
+    root = b.sum()
+    for _ in range(12):
+        prod = b.product()
+        b.edge(prod, b.part(0, True))
+        b.edge(root, prod, 1.0 / 12)
+    wide = b.build(root=root)
+    assert_same_sharing([wide, wide])
+
+
+@pytest.mark.parametrize("name", ["mirror", "split", "shared", "strips"])
+def test_jhs_bundles_match_tuple_reference(name, tmp_path, monkeypatch):
+    import spatialspn.learning as learning_module
+
+    spec = (strip_grid_spec(n_strips=2, parts_per_strip=4, images_per_class=16)
+            if name == "strips" else preset_spec(name, 24))
+    ds = generate_synthetic(spec, np.random.default_rng(2))
+    sc = config(s=2, D=1)
+    tc = TrainConfig(seed=0, mode="jhs-spn", generative_epochs=2, discriminative_epochs=1,
+                     max_pairs_per_epoch=60)
+    bundles = [train_all(ds, sc, tc)]
+
+    def reference(networks):
+        return structure_module.SharedStructure(groups=reference_find_shared_structures(networks))
+
+    monkeypatch.setattr(learning_module, "find_shared_structures", reference)
+    bundles.append(train_all(ds, sc, tc))
+    assert bundles[0].shared_groups == bundles[1].shared_groups
+    for i, bundle in enumerate(bundles):
+        save_bundle(bundle, tmp_path / str(i))
+    files = sorted(p.name for p in (tmp_path / "0").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "1").iterdir())
+    for file in files:
+        assert (tmp_path / "0" / file).read_bytes() == (tmp_path / "1" / file).read_bytes()
