@@ -8,6 +8,7 @@ is exact, while the test oracle recomputes every distance from scratch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from .errors import ContractViolationError, DataFormatError, InsufficientDataErr
 FEATURE_HEADER = "feat v1"
 # rows per difference tensor in distance computations; bounds peak memory
 DISTANCE_BLOCK = 64
+# rows per matmul in the k-means assignment screen
+SCREEN_BLOCK = 1024
 
 
 @dataclass
@@ -32,7 +35,9 @@ class Cluster:
 
 
 def load_features(path) -> list[FeatureVector]:
-    """Parse a 'feat v1 dim=<d>' file, one id + d values per line."""
+    """Parse a 'feat v1 dim=<d>' file, one id + d values per line; d >= 1,
+    ids are unique and values finite. The lines stream into one array, and
+    an error names the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -44,22 +49,30 @@ def load_features(path) -> list[FeatureVector]:
         dim = int(header[2].removeprefix("dim="))
     except ValueError:
         raise DataFormatError(1, "bad dimension") from None
-    out = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != dim + 1:
-            raise DataFormatError(line_no, f"expected id plus {dim} values, got {len(tokens) - 1}")
-        try:
-            values = np.asarray([float(t) for t in tokens[1:]], dtype=np.float64)
-        except ValueError:
-            raise DataFormatError(line_no, "bad feature value") from None
-        if not np.isfinite(values).all():
-            raise DataFormatError(line_no, "feature values must be finite")
-        out.append(FeatureVector(tokens[0], values))
-    return out
+    if dim < 1:
+        raise DataFormatError(1, f"dimension must be at least 1, got {dim}")
+    ids: dict[str, None] = {}
+
+    def rows():
+        for line_no, raw in enumerate(lines[1:], start=2):
+            tokens = raw.split()
+            if not tokens:
+                continue
+            if len(tokens) != dim + 1:
+                raise DataFormatError(line_no, f"expected id plus {dim} values, got {len(tokens) - 1}")
+            try:
+                values = [float(t) for t in tokens[1:]]
+            except ValueError:
+                raise DataFormatError(line_no, "bad feature value") from None
+            if not all(map(math.isfinite, values)):
+                raise DataFormatError(line_no, "feature values must be finite")
+            if tokens[0] in ids:
+                raise DataFormatError(line_no, f"duplicate id {tokens[0]!r}")
+            ids[tokens[0]] = None
+            yield values
+
+    values = np.fromiter(rows(), dtype=np.dtype((np.float64, dim)))
+    return [FeatureVector(i, v) for i, v in zip(ids, values)]
 
 
 def save_clusters(clusters: list[Cluster], path) -> None:
@@ -95,6 +108,33 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nearest_centres(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """argmin(_squared_distances(data, centers), axis=1), bit for bit: the
+    screen ||x||^2 - 2 x.c + ||c||^2 is within 4(d+4) eps max_c(||x|| + ||c||)^2
+    (plus the smallest normal float, for underflow) of each exact distance,
+    so a row whose two best screen values differ by more than twice that has
+    the exact argmin; other rows (ties, overflow) are recomputed exactly."""
+    finfo = np.finfo(np.float64)
+    slack = 8 * (data.shape[1] + 4) * finfo.eps
+    c2 = np.square(centers).sum(axis=1)
+    c_norm = np.sqrt(c2.max())
+    labels = np.empty(len(data), dtype=np.intp)
+    for lo in range(0, len(data), SCREEN_BLOCK):
+        x = data[lo:lo + SCREEN_BLOCK]
+        x2 = np.square(x).sum(axis=1)
+        screen = x2[:, None] - 2.0 * (x @ centers.T) + c2
+        rows = np.arange(len(x))
+        best = np.argmin(screen, axis=1)
+        first = screen[rows, best]
+        screen[rows, best] = np.inf
+        gap = screen.min(axis=1) - first
+        unsure = ~(np.isfinite(gap) & (gap > slack * np.square(np.sqrt(x2) + c_norm) + 2 * finfo.tiny))
+        if unsure.any():
+            best[unsure] = np.argmin(_squared_distances(x[unsure], centers), axis=1)
+        labels[lo:lo + len(x)] = best
+    return labels
+
+
 def _kmeans(data: np.ndarray, k: int, rng, iters: int = 100, tol: float = 1e-6):
     """Seeded farthest-point k-means; deterministic given the rng state."""
     n = len(data)
@@ -109,17 +149,18 @@ def _kmeans(data: np.ndarray, k: int, rng, iters: int = 100, tol: float = 1e-6):
     prev_inertia = None
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
-        d2 = _squared_distances(data, centers)
-        labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centers[j] = data[mask].mean(axis=0)
-            else:
-                # re-seed an empty cluster at the farthest point
-                far = int(np.argmax(d2[np.arange(n), labels]))
-                centers[j] = data[far]
+        labels = _nearest_centres(data, centers)
+        # same per-element sums as the _squared_distances entries they stand for
+        label_d2 = np.square(data - centers[labels]).sum(axis=1)
+        inertia = float(label_d2.sum())
+        # each centre is the mean of its rows in index order, the same
+        # reduction as data[labels == j]
+        order = np.argsort(labels, kind="stable")
+        counts = np.bincount(labels, minlength=k)
+        ends = np.cumsum(counts)
+        for j, (lo, hi) in enumerate(zip(ends - counts, ends)):
+            # an empty cluster is re-seeded at the farthest point
+            centers[j] = data[order[lo:hi]].mean(axis=0) if hi > lo else data[np.argmax(label_d2)]
         if prev_inertia is not None:
             base = max(abs(prev_inertia), 1e-12)
             if abs(prev_inertia - inertia) / base < tol:
@@ -169,18 +210,12 @@ def agglomerate(features: list[FeatureVector], k_init: int, n_centers: int,
     if drop_fraction > 0 and len(members) > n_centers:
         sizes = np.asarray([len(m) for m in members], dtype=np.float64)
         mean_size = sizes.mean()
-        nearest = np.array([
-            min(link[i, j] for j in range(len(members)) if j != i) if len(members) > 1 else 0.0
-            for i in range(len(members))
-        ])
+        nearest = (link + np.diag(np.full(len(members), np.inf))).min(axis=1)
         cutoff = float(np.percentile(nearest, 90))
-        drop_order = sorted(
-            (i for i in range(len(members))
-             if sizes[i] < drop_fraction * mean_size and nearest[i] > cutoff),
-            key=lambda i: (-nearest[i], i),
-        )
-        allowed = len(members) - n_centers
-        to_drop = set(drop_order[:allowed])
+        small_far = np.flatnonzero((sizes < drop_fraction * mean_size) & (nearest > cutoff))
+        # farthest first, index order among equal distances
+        drop_order = small_far[np.argsort(-nearest[small_far], kind="stable")]
+        to_drop = set(drop_order[:len(members) - n_centers].tolist())
         if to_drop:
             keep = [i for i in range(len(members)) if i not in to_drop]
             members = [members[i] for i in keep]
@@ -188,16 +223,13 @@ def agglomerate(features: list[FeatureVector], k_init: int, n_centers: int,
 
     sizes = np.asarray([len(m) for m in members], dtype=np.float64)
     # Lance-Williams merge loop; ties break toward the lexicographically
-    # smallest index pair so the order is reproducible
+    # smallest index pair (the first minimum of the row-major upper
+    # triangle) so the order is reproducible
     while len(members) > n_centers:
         k = len(members)
-        best = None
-        for i in range(k):
-            for j in range(i + 1, k):
-                key = (link[i, j], i, j)
-                if best is None or key < best:
-                    best = key
-        _, i, j = best
+        upper_i, upper_j = np.triu_indices(k, 1)
+        pick = int(np.argmin(link[upper_i, upper_j]))
+        i, j = int(upper_i[pick]), int(upper_j[pick])
         merged = members[i] + members[j]
         new_row = (sizes[i] * link[i] + sizes[j] * link[j]) / (sizes[i] + sizes[j])
         keep = [x for x in range(k) if x not in (i, j)]
