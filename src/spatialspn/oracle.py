@@ -1,9 +1,16 @@
 """Brute-force reference implementations for small instances.
 
-These deliberately avoid the fast evaluation paths: marginals are exhaustive
-sums over part completions, MPE is an exhaustive argmax over completions,
-and gradients come from central finite differences. Size guards keep the
-enumeration under control; they are enforced, never silently exceeded.
+Marginals are exhaustive sums over part completions, MPE is an exhaustive
+argmax over completions, and gradients come from central finite
+differences. They are not independent of the fast evaluation path: each
+completion is scored by `network.evaluate`/`max_evaluate`, that is by
+`_forward` over `_evaluation_plan`, and `finite_difference_gradient` reads
+its trees from `mpe` (`_backtrack`) and its values from `max_evaluate`. So
+they check the kernel against its own sums and maxima over completions; a
+defect that acts alike on every row is caught only by the fixed reference
+network values (ROADMAP item 4 plans an evaluator of their own). Size guards
+keep the enumeration under control; they are enforced, never silently
+exceeded.
 """
 
 from __future__ import annotations

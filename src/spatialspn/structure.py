@@ -309,18 +309,41 @@ def _train_split(labels: np.ndarray, seed: int):
 
 def _logistic_fit(x, y, l2=1e-3, iters=300, lr=1.0):
     """Deterministic full-batch gradient descent with balanced class weights:
-    one fit per leading slice of x (fits, n, d), all against the labels y.
-    The stacked matmuls give each fit the bytes of fitting it alone."""
+    one fit per leading slice of the binary activations x (fits, n, d), all
+    against the labels y.
+
+    Each fit descends over its distinct (row, label) pairs, a pair's count
+    folded into its sample weight, so a step sums the same terms as over all
+    n rows, grouped. Rows are keyed by fit index, packed bits and label, one
+    byte string each, and deduplicated in one sort. The fits are stacked and
+    padded to the block's largest distinct count with zero rows of zero
+    weight, which add exact zeros; a fit's bits may still depend on that
+    padded length at the ulp level."""
     fits, n, d = x.shape
-    xb = np.concatenate([x, np.ones((fits, n, 1))], axis=2)
-    w = np.zeros((fits, d + 1))
     pos = max(y.sum(), 1.0)
     neg = max(n - y.sum(), 1.0)
-    sample_w = np.where(y == 1, n / (2.0 * pos), n / (2.0 * neg))
+    keys = np.concatenate([
+        np.repeat(np.arange(fits, dtype=">u4"), n).view(np.uint8).reshape(fits, n, 4),
+        np.packbits(x != 0, axis=2),
+        np.broadcast_to((y == 1).astype(np.uint8)[None, :, None], (fits, n, 1)),
+    ], axis=2)
+    keys = keys.view(np.dtype((np.void, keys.shape[2]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    fit, row = np.divmod(first, n)
+    per_fit = np.bincount(fit, minlength=fits)
+    slot = np.arange(len(first)) - np.repeat(np.cumsum(per_fit) - per_fit, per_fit)
+    xb = np.zeros((fits, per_fit.max(), d + 1))
+    xb[fit, slot, :d] = x[fit, row]
+    xb[fit, slot, d] = 1.0
+    labels = np.zeros(xb.shape[:2])
+    labels[fit, slot] = y[row]
+    sample_w = np.zeros(xb.shape[:2])
+    sample_w[fit, slot] = counts * np.where(y[row] == 1, n / (2.0 * pos), n / (2.0 * neg))
+    w = np.zeros((fits, d + 1))
     for _ in range(iters):
         z = np.matmul(xb, w[:, :, None])[:, :, 0]
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
-        grad = np.matmul((sample_w * (p - y))[:, None, :], xb)[:, 0, :] / n
+        grad = np.matmul((sample_w * (p - labels))[:, None, :], xb)[:, 0, :] / n
         grad[:, :-1] += l2 * w[:, :-1]
         w -= lr * grad
     return w

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spatialspn.structure as structure_module
 from spatialspn.data import (
@@ -168,19 +170,117 @@ def reference_logistic_fit(x, y, l2=1e-3, iters=300, lr=1.0):
     return w
 
 
-def test_stacked_fit_is_bit_identical_to_per_candidate_reference(rng):
+def full_row_reference_fit(x, y):
+    """Every candidate of a block fitted alone over all of its rows."""
+    return np.stack([reference_logistic_fit(c, y) for c in x])
+
+
+def distinct_row_reference_fit(x, y, l2=1e-3, iters=300, lr=1.0):
+    """One candidate's (n, d) features over its distinct (row, label) pairs in
+    byte-key order, each weighted by its count, with no stacking or padding."""
+    n, d = x.shape
+    keys = np.hstack([np.packbits(x != 0, axis=1), (y == 1).astype(np.uint8)[:, None]])
+    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    xb = np.hstack([x[first], np.ones((len(first), 1))])
+    yd = y[first]
+    w = np.zeros(d + 1)
+    pos = max(y.sum(), 1.0)
+    neg = max(n - y.sum(), 1.0)
+    sample_w = counts * np.where(yd == 1, n / (2.0 * pos), n / (2.0 * neg))
+    for _ in range(iters):
+        z = xb @ w
+        p = 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
+        grad = xb.T @ (sample_w * (p - yd)) / n
+        grad[:-1] += l2 * w[:-1]
+        w -= lr * grad
+    return w
+
+
+FIT_RTOL = 1e-9  # distinct-row fit against the full-row reference, relative to max(|w|, 1)
+
+
+def assert_fit_matches_references(x, y, held):
+    """The block fit agrees with the full-row reference to FIT_RTOL and in
+    every held-out sign the weights decide, and each candidate fitted alone
+    (no padding) has the bytes of the distinct-row reference. A fit whose
+    optimum is w = 0 holds rounding noise of either sign, so a held-out
+    row's sign counts only where |z| exceeds the weight error bound.
+    Returns the number of held-out signs left undecided."""
+    got = _logistic_fit(x, y)
+    held_b = np.hstack([held, np.ones((len(held), 1))])
+    undecided = 0
+    for c in range(len(x)):
+        ref = reference_logistic_fit(x[c], y)
+        err = FIT_RTOL * max(np.abs(ref).max(), 1.0)
+        assert np.abs(got[c] - ref).max() <= err
+        z = held_b @ ref
+        decided = np.abs(z) > err * held_b.sum(axis=1)
+        assert np.array_equal((held_b @ got[c] > 0)[decided], (z > 0)[decided])
+        undecided += int((~decided).sum())
+        assert _logistic_fit(x[c:c + 1], y)[0].tobytes() == distinct_row_reference_fit(x[c], y).tobytes()
+    return got, undecided
+
+
+def test_distinct_row_fit_matches_full_row_reference(rng):
     for fits, n, d in ((5, 40, 6), (8, 97, 13), (3, 12, 2), (38, 280, 12)):
         x = (rng.random((fits, n, d)) < rng.random()).astype(float)
         x[:, :, 0] = 0.0  # an all-zero column
         x[:, :, -1] = 1.0  # an all-one column
+        x[0, n // 2:] = x[0, 0]  # repeated rows
         y = (rng.random(n) < 0.3).astype(float)
-        got = _logistic_fit(x, y)
-        for c in range(fits):
-            assert got[c].tobytes() == reference_logistic_fit(x[c], y).tobytes()
-        # the same candidates split across blocks
+        held = (rng.random((60, d)) < 0.5).astype(float)
+        got, undecided = assert_fit_matches_references(x, y, held)
+        # d = 2 leaves one distinct row: its balanced gradient is zero at
+        # w = 0, so both fits end in rounding noise and decide no sign
+        assert undecided == 0 or d == 2
+        # the same candidates split across blocks: padded to other lengths
         cut = fits // 2
         split = np.concatenate([_logistic_fit(x[:cut], y), _logistic_fit(x[cut:], y)])
-        assert split.tobytes() == got.tobytes()
+        assert np.abs(split - got).max() <= FIT_RTOL * max(np.abs(got).max(), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 5, 8, 9, 12, 17, 72]),
+    n=st.integers(2, 48),
+    layout=st.sampled_from(["random", "identical", "distinct", "one-and-n"]),
+    labels=st.sampled_from(["mixed", "positive", "negative"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_row_fit_edge_shapes(d, n, layout, labels, seed):
+    """Feature counts off the byte grid and above 64 bits, blocks of identical
+    or all-distinct rows, a block mixing one distinct row with n, one-class
+    train slices.
+
+    Rows switch on at most 6 of d features, scattered over all of them, as
+    sparse part activations do: with the bias, |x|^2 <= 7 keeps the unit
+    step below 2 / curvature, so the descent damps rounding differences.
+    Denser rows make it oscillate and grow any summation-order difference
+    (8 equal rows of 8 ones, mixed labels: w = 0 exactly against +-0.14)."""
+    rng = np.random.default_rng(seed)
+    live = min(d, 6)
+    n = min(n, 2 ** live)  # room for n distinct rows
+    columns = rng.choice(d, size=live, replace=False)
+
+    def rows(codes):
+        out = np.zeros((len(codes), d))
+        out[:, columns] = codes[:, None] >> np.arange(live) & 1
+        return out
+
+    fits = (2 if layout == "one-and-n" else 1) + int(rng.integers(3))
+    x = np.stack([rows(rng.integers(2 ** live, size=n)) for _ in range(fits)])
+    distinct = rows(rng.choice(2 ** live, size=n, replace=False))
+    if layout == "identical":
+        x[:] = x[:, :1]
+    elif layout == "distinct":
+        x[:] = distinct
+    elif layout == "one-and-n":
+        x[0] = x[0, 0]
+        x[-1] = distinct
+    y = {"mixed": rng.random(n) < 0.4, "positive": np.ones(n),
+         "negative": np.zeros(n)}[labels].astype(float)
+    held = rows(rng.integers(2 ** live, size=16))
+    assert_fit_matches_references(x, y, held)
 
 
 def test_partition_scores_do_not_depend_on_blocking(monkeypatch):
@@ -226,10 +326,30 @@ def test_learned_trees_match_per_candidate_reference(spec, monkeypatch):
     for s in (2, 3):
         cfg = config(s=s, M=8, m=2, D=2, seed=s)
         stacked = tree_lines(ds, cfg)
-        monkeypatch.setattr(structure_module, "_logistic_fit",
-                            lambda x, y: np.stack([reference_logistic_fit(c, y) for c in x]))
+        monkeypatch.setattr(structure_module, "_logistic_fit", full_row_reference_fit)
         assert tree_lines(ds, cfg) == stacked
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec, mode, depth", [
+    (mirror_pair_spec(images_per_class=24), "ihs-spn", 2),
+    (shared_halves_spec(images_per_class=16), "jhs-spn", 1),
+])
+def test_model_files_match_full_row_fit(spec, mode, depth, tmp_path, monkeypatch):
+    """Every file of a saved model, train.log included, has the bytes it had
+    when each candidate was fitted over all of its rows."""
+    ds = generate_synthetic(spec, np.random.default_rng(4))
+    sc = config(s=2, D=depth, M=12, m=2, seed=1)
+    tc = TrainConfig(seed=1, mode=mode, generative_epochs=2, discriminative_epochs=1,
+                     max_pairs_per_epoch=40)
+    save_bundle(train_all(ds, sc, tc), tmp_path / "distinct")
+    monkeypatch.setattr(structure_module, "_logistic_fit", full_row_reference_fit)
+    save_bundle(train_all(ds, sc, tc), tmp_path / "full")
+    files = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert "train.log" in files
+    assert files == sorted(p.name for p in (tmp_path / "distinct").iterdir())
+    for file in files:
+        assert (tmp_path / "distinct" / file).read_bytes() == (tmp_path / "full" / file).read_bytes()
 
 
 # ------------------------------------------------------------------ trees
