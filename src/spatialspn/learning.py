@@ -33,10 +33,12 @@ from .errors import (
 )
 from .inference import _backtrack
 from .network import (
-    PRODUCT,
-    SUM,
+    CODE_PRODUCT,
+    CODE_SUM,
+    KINDS,
     WEIGHT_FLOOR,
     Network,
+    NodeTable,
     _forward,
     _int,
     _reachable,
@@ -124,7 +126,7 @@ def generative_train(network: Network, positives: list[ImageRecord], config: Tra
     if not positives:
         raise InsufficientDataError("generative training needs at least one positive image")
     alpha = config.smoothing
-    sums = [i for i, nd in enumerate(network.nodes) if nd.kind == SUM]
+    sums = np.flatnonzero(network.node_kind == CODE_SUM).tolist()
     evidence = encode_records(positives, network.part_span)
     previous = None
     for epoch in range(config.generative_epochs):
@@ -161,9 +163,8 @@ def prune(network: Network, threshold: float) -> Network:
     Remaining sum weights are renormalized and the result is revalidated.
     Refuses to act when removal would leave the root childless."""
     n = network.num_nodes
-    kinds = np.array([nd.kind for nd in network.nodes])
-    is_sum = kinds == SUM
-    internal = is_sum | (kinds == PRODUCT)
+    is_sum = network.node_kind == CODE_SUM
+    internal = is_sum | (network.node_kind == CODE_PRODUCT)
     parent, child = network.edge_parent, network.edge_child
     keep = ~(is_sum[parent] & (network.edge_weight <= threshold))
 
@@ -181,7 +182,7 @@ def prune(network: Network, threshold: float) -> Network:
     new_id = np.cumsum(reachable) - 1
     kept = keep & reachable[parent]
     pruned = Network(
-        nodes=[network.nodes[i] for i in np.flatnonzero(reachable)],
+        nodes=NodeTable(*(column[reachable] for column in network.node_table)),
         edge_parent=new_id[parent[kept]],
         edge_child=new_id[child[kept]],
         edge_weight=network.edge_weight[kept],
@@ -207,7 +208,7 @@ def _check_finite_root(network: Network, log_values: np.ndarray) -> None:
             (int(n) for n in network.topological_order() if math.isnan(log_values[n])),
             network.root,
         )
-        raise TrainingError(f"NaN value at node {bad} ({network.nodes[bad].kind})")
+        raise TrainingError(f"NaN value at node {bad} ({KINDS[network.node_kind[bad]]})")
 
 
 def _margin_step(network: Network, evidence: np.ndarray, slack: float, rate: float,
@@ -219,12 +220,11 @@ def _margin_step(network: Network, evidence: np.ndarray, slack: float, rate: flo
     them later). Returns whether any weight changed."""
     # roots +1 and -1: the summed edge counts are t_pos - t_neg
     delta = _backtrack(network, _forward(network, evidence, "max"), (1, -1))[1]
+    edges = np.flatnonzero(delta)
     touched = set()
-    for edge in np.flatnonzero(delta).tolist():
+    for edge in edges[network.node_kind[network.edge_parent[edges]] == CODE_SUM].tolist():
         dt = int(delta[edge])
         parent = int(network.edge_parent[edge])
-        if network.nodes[parent].kind != SUM:
-            continue
         weight = max(float(network.edge_weight[edge]), WEIGHT_FLOOR)
         step = rate * slack * dt / weight
         if update_counts is not None:
@@ -615,6 +615,8 @@ def save_bundle(bundle: ModelBundle, out_dir) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
+    """Read a bundle directory. Each class network is validated as it loads;
+    an invalid one is a ModelFormatError at its manifest line."""
     manifest_path = os.path.join(path, "manifest")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -644,10 +646,18 @@ def load_bundle(path) -> ModelBundle:
             if tokens[1] in networks:
                 raise ModelFormatError(line_no, f"duplicate class {tokens[1]!r}")
             try:
-                networks[tokens[1]] = load_network(os.path.join(path, tokens[2]))
+                network = load_network(os.path.join(path, tokens[2]))
             except OSError as exc:
                 raise ModelFormatError(
                     line_no, f"cannot read class file {tokens[2]!r}: {exc.strerror}") from None
+            # validation also compiles the evaluation plan scoring reuses
+            report = validate(network)
+            if not report.ok:
+                first = report.violations[0]
+                raise ModelFormatError(
+                    line_no, f"class file {tokens[2]!r} is not a valid network: "
+                             f"{first.kind}: {first.message}")
+            networks[tokens[1]] = network
             classes.append(tokens[1])
         elif tokens[0] == "shared-group":
             group = []

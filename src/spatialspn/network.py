@@ -24,6 +24,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,11 @@ PART = "part"
 SPATIAL = "spatial"
 ONE = "one"
 
-LEAF_KINDS = frozenset({PART, SPATIAL, ONE})
+# Node kinds by their code in `Network.node_kind`. The internal kinds come
+# first, so a node is a leaf iff its code is at least CODE_PART.
+KINDS = (SUM, PRODUCT, PART, SPATIAL, ONE)
+CODE_SUM, CODE_PRODUCT, CODE_PART, CODE_SPATIAL, CODE_ONE = range(len(KINDS))
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 FORMAT_VERSION = 1
 WEIGHT_FLOOR = 1e-8
@@ -61,6 +66,36 @@ class Node:
     positive: bool | None = None
     pair: tuple[int, int] | None = None
     relation: Relation | None = None
+
+
+class NodeTable(NamedTuple):
+    """Nodes as parallel arrays, one row per node id: the kind's code, the
+    part of a part leaf, its polarity, the canonical (a, b) pair of a
+    spatial leaf and its relation. A field a node's kind does not use holds
+    -1 (False for `positive`)."""
+
+    kind: np.ndarray
+    part: np.ndarray
+    positive: np.ndarray
+    pair: np.ndarray
+    relation: np.ndarray
+
+    @classmethod
+    def of(cls, nodes) -> "NodeTable":
+        rows = [(KIND_CODES[nd.kind], -1 if nd.part is None else nd.part, bool(nd.positive),
+                 *(nd.pair or (-1, -1)), -1 if nd.relation is None else nd.relation)
+                for nd in nodes]
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
+        return cls(table[:, 0], table[:, 1], table[:, 2] != 0, table[:, 3:5], table[:, 5])
+
+
+def _node(kind: int, part: int, positive: bool, a: int, b: int, relation: int) -> Node:
+    """The Node of one NodeTable row."""
+    if kind == CODE_PART:
+        return Node(PART, part=part, positive=positive)
+    if kind == CODE_SPATIAL:
+        return Node(SPATIAL, pair=(a, b), relation=Relation(relation))
+    return Node(KINDS[kind])
 
 
 @dataclass(frozen=True)
@@ -206,10 +241,12 @@ def assignment_to_indicators(image, vocabulary_size: int, query_parts=()) -> Ind
 class Network:
     """Rooted DAG of sum/product/indicator nodes with dense integer ids.
 
-    Node and edge ids are list indices, stable across serialization.
-    `shared_edges` marks edges tied to identical sub-structures in other
-    class networks; `region_of` and `partitions` carry structure-learning
-    metadata (region annotations are build-time only and not serialized).
+    Node and edge ids are array indices, stable across serialization. Nodes
+    are held as the parallel arrays of a NodeTable (`node_kind`, ...), edges
+    as `edge_parent`, `edge_child` and `edge_weight`. `shared_edges` marks
+    edges tied to identical sub-structures in other class networks;
+    `region_of` and `partitions` carry structure-learning metadata (region
+    annotations are build-time only and not serialized).
     """
 
     def __init__(
@@ -224,7 +261,13 @@ class Network:
         partitions=None,
         region_of=None,
     ):
-        self.nodes: list[Node] = list(nodes)
+        """`nodes` is a NodeTable or a sequence of Node."""
+        table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
+        self.node_kind = np.ascontiguousarray(table.kind, dtype=np.int8)
+        self.node_part = np.ascontiguousarray(table.part, dtype=np.int64)
+        self.node_positive = np.ascontiguousarray(table.positive, dtype=bool)
+        self.node_pair = np.ascontiguousarray(table.pair, dtype=np.int64).reshape(-1, 2)
+        self.node_relation = np.ascontiguousarray(table.relation, dtype=np.int8)
         self.edge_parent = np.asarray(edge_parent, dtype=np.int32)
         self.edge_child = np.asarray(edge_child, dtype=np.int32)
         self.edge_weight = np.asarray(edge_weight, dtype=np.float64)
@@ -234,23 +277,42 @@ class Network:
         self.partitions = list(partitions or [])
         self.region_of: dict[int, object] = dict(region_of or {})
 
-        n = len(self.nodes)
+        n = len(self.node_kind)
         if not (0 <= self.root < n):
             raise ValueError(f"root {self.root} out of range")
         self._build_child_index()
         self._topo = None
         self._plan = None
         self._leaf_table = None
+        self._nodes = None
 
     # ------------------------------------------------------------------ basics
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_kind)
 
     @property
     def num_edges(self) -> int:
         return len(self.edge_parent)
+
+    @property
+    def node_table(self) -> NodeTable:
+        return NodeTable(self.node_kind, self.node_part, self.node_positive, self.node_pair,
+                         self.node_relation)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The nodes as objects, derived from the node arrays once; nodes
+        with equal rows share one Node."""
+        if self._nodes is None:
+            shared: dict[tuple, Node] = {}
+            self._nodes = tuple(
+                shared.get(row) or shared.setdefault(row, _node(*row))
+                for row in zip(self.node_kind.tolist(), self.node_part.tolist(),
+                               self.node_positive.tolist(), self.node_pair[:, 0].tolist(),
+                               self.node_pair[:, 1].tolist(), self.node_relation.tolist()))
+        return self._nodes
 
     def _build_child_index(self):
         order = np.argsort(self.edge_parent, kind="stable")
@@ -270,7 +332,7 @@ class Network:
         return self._cs_child[lo:hi]
 
     def is_leaf(self, node: int) -> bool:
-        return self.nodes[node].kind in LEAF_KINDS
+        return bool(self.node_kind[node] >= CODE_PART)
 
     @property
     def part_universe(self) -> list[int]:
@@ -290,20 +352,16 @@ class Network:
         """Each leaf's evidence column, compiled once."""
         if self._leaf_table is not None:
             return self._leaf_table
-        parts = sorted({nd.part for nd in self.nodes if nd.kind == PART})
-        pairs = sorted({nd.pair for nd in self.nodes if nd.kind == SPATIAL})
-        leaves, columns = [], []
-        for nid, nd in enumerate(self.nodes):
-            if nd.kind == PART:
-                columns.append(part_column(nd.part) + (0 if nd.positive else 1))
-            elif nd.kind == SPATIAL:
-                columns.append(pair_column(*nd.pair) + int(nd.relation))
-            else:
-                continue
-            leaves.append(nid)
+        kind = self.node_kind
+        leaves = np.flatnonzero((kind == CODE_PART) | (kind == CODE_SPATIAL))
+        on_part = kind[leaves] == CODE_PART
+        part, pair = self.node_part[leaves], self.node_pair[leaves]
+        columns = np.where(on_part, part_column(part) + ~self.node_positive[leaves],
+                           pair_column(pair[:, 0], pair[:, 1]) + self.node_relation[leaves])
+        parts = sorted(set(part[on_part].tolist()))
+        pairs = sorted(set(zip(pair[~on_part, 0].tolist(), pair[~on_part, 1].tolist())))
         span = max(parts + [b for _, b in pairs], default=-1) + 1
-        self._leaf_table = LeafSlots(parts, pairs, span, np.asarray(leaves, dtype=np.int64),
-                                     np.asarray(columns, dtype=np.int64))
+        self._leaf_table = LeafSlots(parts, pairs, span, leaves, columns)
         return self._leaf_table
 
     @property
@@ -317,33 +375,26 @@ class Network:
         Raises CycleError on cycles."""
         if self._topo is not None:
             return self._topo
-        # frontier passes over the parent index: pass k takes the nodes whose
-        # children all left in earlier passes, so k is their level; nodes on
-        # or above a cycle never get there
-        n = self.num_nodes
-        remaining = np.bincount(self.edge_parent, minlength=n)
-        by_child = np.argsort(self.edge_child, kind="stable")
-        p_parent = self.edge_parent[by_child]
-        p_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edge_child, minlength=n), out=p_start[1:])
-
-        passes = []
-        frontier = np.flatnonzero(remaining == 0)
-        while len(frontier):
-            passes.append(frontier)
-            counts = p_start[frontier + 1] - p_start[frontier]
-            seg_starts = np.cumsum(counts) - counts
-            first = np.repeat(p_start[frontier] - seg_starts, counts)
-            parents = p_parent[first + np.arange(counts.sum())]
-            remaining -= np.bincount(parents, minlength=n)
-            hit = np.unique(parents)
-            frontier = hit[remaining[hit] == 0]
-        topo = np.concatenate(passes, dtype=np.int32) if passes else np.zeros(0, dtype=np.int32)
-        if len(topo) != n:
-            raise CycleError("network graph contains a cycle")
-        self._level_starts = np.cumsum([0] + [len(p) for p in passes])
-        self._topo = topo
-        return topo
+        # relax every level over its children until none moves. In an
+        # acyclic graph sweep t moves exactly the nodes of height >= t, so
+        # fewer every sweep; the nodes of a cycle move on every sweep, so a
+        # sweep that moves no fewer than the last means a cycle
+        parents = np.flatnonzero(np.diff(self._cs_start))
+        starts = self._cs_start[parents]
+        level = np.zeros(self.num_nodes, dtype=np.int64)
+        moved = len(parents) + 1
+        while True:
+            above = np.maximum.reduceat(level[self._cs_child], starts) + 1
+            moving = np.count_nonzero(above != level[parents])
+            if not moving:
+                break
+            if moving >= moved:
+                raise CycleError("network graph contains a cycle")
+            moved = moving
+            level[parents] = above
+        self._level = level
+        self._topo = np.argsort(level, kind="stable").astype(np.int32)
+        return self._topo
 
     def _evaluation_plan(self):
         """Per level above the leaves (a node sits one above its highest
@@ -352,24 +403,32 @@ class Network:
         their children, where each node's run starts and each edge's node."""
         if self._plan is not None:
             return self._plan
-        topo = self.topological_order()  # raises CycleError
-        fanout = np.diff(self._cs_start)
-        kinds = np.array([nd.kind for nd in self.nodes])
+        self.topological_order()  # raises CycleError
+        # every sum and product above level 0 in one run, grouped by level
+        # and then kind (sums first), each group in id order
+        kind, level = self.node_kind, self._level
+        group = 2 * level + (kind == CODE_PRODUCT)
+        inner = np.flatnonzero((level > 0) & (kind <= CODE_PRODUCT))
+        nodes = inner[np.argsort(group[inner], kind="stable")].astype(np.int32)
+        counts = np.diff(self._cs_start)[nodes]
+        seg_starts = np.cumsum(counts) - counts
+        seg_ids = np.repeat(np.arange(len(nodes)), counts)
+        edges = self._cs_edge[self._cs_start[nodes][seg_ids] + np.arange(len(seg_ids))
+                              - seg_starts[seg_ids]]
+        children = self.edge_child[edges]
+        depth = int(level.max(initial=0))
+        cut = np.searchsorted(group[nodes], np.arange(2, 2 * depth + 3))
+        edge_cut = np.append(seg_starts, len(edges))[cut]
+        cut, edge_cut = cut.tolist(), edge_cut.tolist()
 
         plan = []
-        for lo, hi in zip(self._level_starts[1:-1], self._level_starts[2:]):
-            ids = topo[lo:hi]
+        for lv in range(depth):
             groups = {}
-            for kind in (SUM, PRODUCT):
-                nodes = ids[kinds[ids] == kind].astype(np.int32)
-                if not len(nodes):
-                    continue
-                counts = fanout[nodes]
-                seg_starts = np.cumsum(counts) - counts
-                seg_ids = np.repeat(np.arange(len(nodes)), counts)
-                offsets = np.arange(counts.sum()) - seg_starts[seg_ids]
-                edges = self._cs_edge[self._cs_start[nodes][seg_ids] + offsets]
-                groups[kind] = (nodes, edges, self.edge_child[edges], seg_starts, seg_ids)
+            for g, name in enumerate((SUM, PRODUCT), start=2 * lv):
+                a, b, ea, eb = cut[g], cut[g + 1], edge_cut[g], edge_cut[g + 1]
+                if a < b:
+                    groups[name] = (nodes[a:b], edges[ea:eb], children[ea:eb],
+                                    seg_starts[a:b] - ea, seg_ids[ea:eb] - a)
             plan.append(groups)
         self._plan = plan
         return plan
@@ -378,7 +437,7 @@ class Network:
 
     def copy(self) -> "Network":
         return Network(
-            nodes=self.nodes,
+            nodes=NodeTable(*(column.copy() for column in self.node_table)),
             edge_parent=self.edge_parent.copy(),
             edge_child=self.edge_child.copy(),
             edge_weight=self.edge_weight.copy(),
@@ -472,16 +531,16 @@ class NetworkBuilder:
 
 def _reachable(n: int, root: int, parent: np.ndarray, child: np.ndarray) -> np.ndarray:
     """Mask of the nodes reachable from `root` over the edges parent -> child,
-    one frontier sweep per level."""
+    one sweep over every edge per level until the mask stops growing."""
     reachable = np.zeros(n, dtype=bool)
     reachable[root] = True
-    frontier = reachable.copy()
-    while frontier.any():
-        hit = np.zeros(n, dtype=bool)
-        hit[child[frontier[parent]]] = True
-        frontier = hit & ~reachable
-        reachable |= frontier
-    return reachable
+    count = 1
+    while True:
+        reachable[child[reachable[parent]]] = True
+        grown = np.count_nonzero(reachable)
+        if grown == count:
+            return reachable
+        count = grown
 
 
 def validate(network: Network) -> ValidityReport:
@@ -495,8 +554,8 @@ def validate(network: Network) -> ValidityReport:
         report.violations.append(Violation("acyclicity", message="graph contains a cycle"))
         return report
     n, parent, child = network.num_nodes, network.edge_parent, network.edge_child
-    kinds = np.array([nd.kind for nd in network.nodes])
-    is_leaf = np.isin(kinds, list(LEAF_KINDS))
+    kinds = network.node_kind
+    is_leaf = kinds >= CODE_PART
     fanout = np.diff(network._cs_start)
     add = report.violations.append
 
@@ -509,27 +568,28 @@ def validate(network: Network) -> ValidityReport:
             add(Violation("leaf-children", node=node, message=f"leaf node {node} has children"))
         else:
             add(Violation("childless-internal", node=node,
-                          message=f"{kinds[node]} node {node} has no children"))
+                          message=f"{KINDS[kinds[node]]} node {node} has no children"))
 
     weight = network.edge_weight
-    on_sum = kinds[parent] == SUM
+    on_sum = kinds[parent] == CODE_SUM
     with np.errstate(invalid="ignore"):
         bad = np.where(on_sum, ~(np.isfinite(weight) & (weight >= 0)), ~np.isnan(weight))
     for edge in np.flatnonzero(bad).tolist():
         if on_sum[edge]:
             message = f"edge {edge} has invalid weight {weight[edge]}"
         else:
-            message = f"edge {edge} of a {kinds[parent[edge]]} node carries a weight"
+            message = f"edge {edge} of a {KINDS[kinds[parent[edge]]]} node carries a weight"
         add(Violation("weight", edge=edge, message=message))
 
     # scopes over variables named by their base evidence column (distinct for
     # non-negative part ids); an internal node's scope is its children's union
     table = network._leaf_slots()
-    leaves = [network.nodes[i] for i in table.leaves]
-    base = [part_column(nd.part) if nd.kind == PART else pair_column(*nd.pair) for nd in leaves]
-    columns, variable = np.unique(np.asarray(base, dtype=np.int64), return_inverse=True)
-    scope = np.zeros((n, (len(columns) + 7) // 8), dtype=np.uint8)  # 8 variables a byte
-    scope[table.leaves, variable >> 3] = 1 << (variable & 7)
+    part, pair = network.node_part[table.leaves], network.node_pair[table.leaves]
+    base = np.where(kinds[table.leaves] == CODE_PART, part_column(part),
+                    pair_column(pair[:, 0], pair[:, 1]))
+    columns, variable = np.unique(base, return_inverse=True)
+    scope = np.zeros((n, (len(columns) + 63) // 64), dtype=np.uint64)  # 64 variables a word
+    scope[table.leaves, variable >> 6] = np.uint64(1) << (variable & 63).astype(np.uint64)
     for groups in plan:
         for nodes, _, children, seg_starts, _ in groups.values():
             scope[nodes] = np.bitwise_or.reduceat(scope[children], seg_starts, axis=0)
@@ -538,8 +598,8 @@ def validate(network: Network) -> ValidityReport:
     # size, that is iff they add up to fanout times it
     size = np.bitwise_count(scope).sum(axis=1)
     child_total = np.bincount(parent, weights=size[child], minlength=n)
-    overlap = (kinds == PRODUCT) & (fanout > 0) & (child_total != size)
-    differ = (kinds == SUM) & (fanout > 0) & (child_total != fanout * size)
+    overlap = (kinds == CODE_PRODUCT) & (fanout > 0) & (child_total != size)
+    differ = (kinds == CODE_SUM) & (fanout > 0) & (child_total != fanout * size)
     for node in np.flatnonzero(overlap | differ).tolist():
         if overlap[node]:
             add(Violation("decomposability", node=node,
@@ -658,7 +718,7 @@ def normalize_weights(network: Network, nodes=None) -> Network:
     `nodes` limits the pass to the given sum nodes (default: every sum node).
     Childless sums are skipped; a sum whose weights total zero raises."""
     if nodes is None:
-        nodes = [i for i, nd in enumerate(network.nodes) if nd.kind == SUM]
+        nodes = np.flatnonzero(network.node_kind == CODE_SUM).tolist()
     for node in nodes:
         edges = network.child_edges(node)
         if not len(edges):
@@ -686,16 +746,17 @@ def serialize(network: Network) -> str:
     lines = [f"spn-model v{FORMAT_VERSION}"]
     if network.class_label is not None:
         lines.append(f"class {network.class_label}")
-    for nid, node in enumerate(network.nodes):
-        if node.kind == PART:
-            polarity = "pos" if node.positive else "neg"
-            lines.append(f"node {nid} part {node.part} {polarity}")
-        elif node.kind == SPATIAL:
-            token = RELATION_TOKENS[node.relation]
-            lines.append(f"node {nid} spatial {node.pair[0]} {node.pair[1]} {token}")
+    for nid, (kind, part, positive, a, b, relation) in enumerate(zip(
+            network.node_kind.tolist(), network.node_part.tolist(),
+            network.node_positive.tolist(), network.node_pair[:, 0].tolist(),
+            network.node_pair[:, 1].tolist(), network.node_relation.tolist())):
+        if kind == CODE_PART:
+            lines.append(f"node {nid} part {part} {'pos' if positive else 'neg'}")
+        elif kind == CODE_SPATIAL:
+            lines.append(f"node {nid} spatial {a} {b} {RELATION_TOKENS[relation]}")
         else:
-            lines.append(f"node {nid} {node.kind}")
-    is_sum = np.array([nd.kind == SUM for nd in network.nodes], dtype=bool)
+            lines.append(f"node {nid} {KINDS[kind]}")
+    is_sum = network.node_kind == CODE_SUM
     for lo in range(0, network.num_edges, SERIALIZE_BLOCK_EDGES):
         edges = slice(lo, lo + SERIALIZE_BLOCK_EDGES)
         lines.extend(
@@ -720,10 +781,17 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ModelFormatError(line_no, f"bad {what} {token!r}") from None
 
 
+# The largest part id a model file may name, so that node arrays hold every
+# part and a leaf's evidence column (2p², see `part_column`) fits an int64.
+MAX_PART_ID = 2 ** 31 - 1
+
+
 def _part_id(token: str, line_no: int) -> int:
     part = _int(token, line_no, "part id")
     if part < 0:
         raise ModelFormatError(line_no, f"part id must be >= 0, got {part}")
+    if part > MAX_PART_ID:
+        raise ModelFormatError(line_no, f"part id must be <= {MAX_PART_ID}, got {part}")
     return part
 
 
@@ -743,17 +811,18 @@ def _parse_rect(tokens, line_no, fractions: dict):
     return tuple(rect)
 
 
-def _parse_node(body, line_no) -> Node:
-    """The node a node line's tokens after its id describe."""
+def _parse_node(body, line_no) -> tuple:
+    """The NodeTable row (kind, part, positive, a, b, relation) a node
+    line's tokens after its id describe."""
     kind = body[0]
     if kind in (SUM, PRODUCT, ONE):
         if len(body) != 1:
             raise ModelFormatError(line_no, f"{kind} node takes no arguments")
-        return Node(kind)
+        return KIND_CODES[kind], -1, False, -1, -1, -1
     if kind == PART:
         if len(body) != 3 or body[2] not in ("pos", "neg"):
             raise ModelFormatError(line_no, "part node needs '<id> pos|neg'")
-        return Node(PART, part=_part_id(body[1], line_no), positive=body[2] == "pos")
+        return CODE_PART, _part_id(body[1], line_no), body[2] == "pos", -1, -1, -1
     if kind == SPATIAL:
         if len(body) != 4:
             raise ModelFormatError(line_no, "spatial node needs '<a> <b> <relation>'")
@@ -762,7 +831,7 @@ def _parse_node(body, line_no) -> Node:
         pair = (_part_id(body[1], line_no), _part_id(body[2], line_no))
         if pair[0] >= pair[1]:
             raise ModelFormatError(line_no, f"pair {pair} is not two canonically ordered parts")
-        return Node(SPATIAL, pair=pair, relation=TOKEN_RELATIONS[body[3]])
+        return CODE_SPATIAL, -1, False, *pair, int(TOKEN_RELATIONS[body[3]])
     raise ModelFormatError(line_no, f"unknown node kind {kind!r}")
 
 
@@ -780,18 +849,18 @@ def _check_header(line: str | None) -> None:
 class _LineParser:
     """Parses the lines after a model file's header, one `read` call per
     line in file order, and builds the network with `network`. Node lines
-    with the same tokens after the id share one Node."""
+    with the same tokens after the id share one parsed row."""
 
     def __init__(self):
-        self.nodes: dict[int, Node] = {}
-        self.node_line: dict[int, int] = {}
+        self.kinds: dict[int, int] = {}  # node id -> kind code
+        self.node_rows: list[tuple] = []  # (line, id, kind, part, positive, a, b, relation)
         self.edges: list[tuple[int, int, int, float]] = []  # (line, parent, child, weight)
         self.root = None
         self.root_line = 0
         self.class_label = None
         self.shared: dict[int, int] = {}  # edge id -> its first `shared` line
         self.partitions = []
-        self._bodies: dict[tuple, Node] = {}
+        self._bodies: dict[tuple, tuple] = {}
         self._fractions: dict[str, Fraction] = {}
 
     def read(self, line_no: int, raw: str) -> None:
@@ -800,27 +869,27 @@ class _LineParser:
             return
         tokens = line.split()
         tag = tokens[0]
-        nodes = self.nodes
+        kinds = self.kinds
         if tag == "node":
             if len(tokens) < 3:
                 raise ModelFormatError(line_no, "node line needs an id and a kind")
             nid = _int(tokens[1], line_no, "node id")
-            if nid in nodes:
+            if nid in kinds:
                 raise ModelFormatError(line_no, f"duplicate node id {nid}")
             body = tuple(tokens[2:])
-            node = self._bodies.get(body)
-            if node is None:
-                node = self._bodies[body] = _parse_node(body, line_no)
-            nodes[nid] = node
-            self.node_line[nid] = line_no
+            row = self._bodies.get(body)
+            if row is None:
+                row = self._bodies[body] = _parse_node(body, line_no)
+            kinds[nid] = row[0]
+            self.node_rows.append((line_no, nid, *row))
         elif tag == "edge":
             if len(tokens) not in (3, 4):
                 raise ModelFormatError(line_no, "edge line needs parent, child and optional weight")
             parent = _int(tokens[1], line_no, "edge endpoint")
             child = _int(tokens[2], line_no, "edge endpoint")
-            if parent not in nodes or child not in nodes:
+            if parent not in kinds or child not in kinds:
                 raise ModelFormatError(line_no, f"edge refers to undeclared node")
-            if nodes[parent].kind == SUM:
+            if kinds[parent] == CODE_SUM:
                 if len(tokens) != 4:
                     raise ModelFormatError(line_no, "sum edge is missing its weight")
                 try:
@@ -861,28 +930,51 @@ class _LineParser:
         else:
             raise ModelFormatError(line_no, f"unknown line tag {tag!r}")
 
-    def admits(self, lines, parent, child, weighted) -> bool:
-        """Whether edge rows read elsewhere stand where this parse would take
-        them: both endpoints declared on an earlier line, and a weight if and
-        only if the parent is a sum node."""
-        if not len(lines):
-            return True
-        n = len(self.nodes)
-        if sorted(self.nodes) != list(range(n)) or max(parent.max(), child.max()) >= n:
-            return False
-        declared = np.array([self.node_line[i] for i in range(n)])
-        is_sum = np.array([self.nodes[i].kind == SUM for i in range(n)], dtype=bool)
-        return bool((declared[parent] < lines).all() and (declared[child] < lines).all()
-                    and np.array_equal(is_sum[parent], weighted))
+    def _node_columns(self):
+        """The node rows read, in file order: line numbers, ids, NodeTable."""
+        rows = np.array(self.node_rows, dtype=np.int64).reshape(-1, 8)
+        return rows[:, 0], rows[:, 1], NodeTable(rows[:, 2], rows[:, 3], rows[:, 4] != 0,
+                                                 rows[:, 5:7], rows[:, 7])
 
-    def network(self, n_lines: int, lines=(), parent=(), child=(), weight=()) -> Network:
-        """The network of the lines read, with the edge rows read elsewhere
+    def admit(self, node_lines, ids, nodes: NodeTable, lines, parent, child, weighted):
+        """The NodeTable of the node rows read here and those read elsewhere
+        (their line numbers, ids and NodeTable), if every row read elsewhere
+        stands where this parse would take it: node ids 0..n-1 in file
+        order, and each edge row (line numbers, endpoints, weight masks)
+        after both its endpoints, with a weight if and only if its parent is
+        a sum node. None otherwise."""
+        n = len(ids) + len(self.node_rows)
+        if any(not 0 <= nid < n for nid in self.kinds):
+            return None
+        if self.node_rows:
+            own_lines, own_ids, own = self._node_columns()
+            order = np.argsort(np.concatenate([node_lines, own_lines]), kind="stable")
+            node_lines, ids = (np.concatenate(pair)[order] for pair in
+                               ((node_lines, own_lines), (ids, own_ids)))
+            nodes = NodeTable(*(np.concatenate(pair)[order] for pair in zip(nodes, own)))
+        if not np.array_equal(ids, np.arange(n)):
+            return None
+        if len(lines) and not (
+                max(parent.max(), child.max()) < n
+                and (node_lines[parent] < lines).all() and (node_lines[child] < lines).all()
+                and np.array_equal(nodes.kind[parent] == CODE_SUM, weighted)):
+            return None
+        return nodes
+
+    def network(self, n_lines: int, nodes: NodeTable | None = None, lines=(), parent=(), child=(),
+                weight=()) -> Network:
+        """The network of the lines read, or of `nodes` (admitted by
+        `admit`) and the lines read, with the edge rows read elsewhere
         (their line numbers, endpoints and weights) merged in by line."""
         if self.root is None:
             raise ModelFormatError(n_lines, "truncated model: missing root line")
-        n = len(self.nodes)
-        if sorted(self.nodes) != list(range(n)):
-            raise ModelFormatError(n_lines, "node ids are not dense 0..n-1")
+        if nodes is None:
+            n = len(self.kinds)
+            if sorted(self.kinds) != list(range(n)):
+                raise ModelFormatError(n_lines, "node ids are not dense 0..n-1")
+            _, ids, nodes = self._node_columns()
+            nodes = NodeTable(*(column[np.argsort(ids)] for column in nodes))
+        n = len(nodes.kind)
         if not (0 <= self.root < n):
             raise ModelFormatError(self.root_line, f"root {self.root} out of range")
         for edge_id, line_no in self.shared.items():
@@ -897,7 +989,7 @@ class _LineParser:
             else:
                 _, parent, child, weight = read
         return Network(
-            nodes=[self.nodes[i] for i in range(n)],
+            nodes=nodes,
             edge_parent=np.asarray(parent, dtype=np.int32),
             edge_child=np.asarray(child, dtype=np.int32),
             edge_weight=np.asarray(weight, dtype=np.float64),
@@ -922,63 +1014,105 @@ def _parse_lines(text: str) -> Network:
 # numbers its lines by more than its "\n" bytes, so the line parser reads it
 _ASCII_BREAKS = tuple(ch.encode() for ch in "\r\x0b\x0c\x1c\x1d\x1e")
 _OTHER_BREAKS = _ASCII_BREAKS + tuple(ch.encode() for ch in "\x85\u2028\u2029")
-# the most digits an int32 always holds; a longer endpoint goes to the line parser
-MAX_ENDPOINT_DIGITS = 9
-# Lines per block of the edge pass, which bounds its temporaries on large files.
+# the most digits an int32 always holds; a longer number goes to the line parser
+MAX_DIGITS = 9
+# Lines per block of the bulk pass, which bounds its temporaries on large files.
 EDGE_PASS_ROWS = 2 ** 16
 
 
-def _digits(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Per row, the number buf[lo:hi] spells (1 to MAX_ENDPOINT_DIGITS bytes)
-    and whether one of those bytes is not a decimal digit."""
-    length = hi - lo
+def _number(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per row, the number the bytes buf[lo:hi] spell and whether they are 1
+    to MAX_DIGITS decimal digits."""
+    length = np.where((hi - lo >= 1) & (hi - lo <= MAX_DIGITS), hi - lo, 0)
     value = np.zeros(len(lo), dtype=np.int32)
-    bad = np.zeros(len(lo), dtype=bool)
+    ok = length > 0
     for k in range(1, int(length.max(initial=0)) + 1):
         inside = length >= k
         digit = buf[hi - k] - np.uint8(48)  # bytes below "0" wrap past 9
-        bad |= inside & (digit > 9)
+        ok &= ~inside | (digit <= 9)
         value += (digit * inside).astype(np.int32) * 10 ** (k - 1)
-    return value, bad
+    return value, ok
 
 
-def _canonical_edges(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                     first: int, last: int):
-    """The rows from `first` to `last` (lines from `starts` to `ends` in
-    `buf`, the bytes of `data`) that read `edge <parent> <child>` or
-    `edge <parent> <child> <weight>`: single spaces, 1 to
-    MAX_ENDPOINT_DIGITS decimal digits an endpoint, and a weight `float`
-    reads as finite and >= 0. Returns their row indices, endpoints, weights
+def _words(data: bytes) -> np.ndarray:
+    """At each offset of `data`, the 8 bytes from there on (zeros past the
+    end) as one little-endian integer."""
+    return np.ndarray(len(data), dtype="<u8", buffer=data + bytes(8), strides=(1,))
+
+
+def _which(words: np.ndarray, lo: np.ndarray, hi: np.ndarray, choices) -> np.ndarray:
+    """Per row, the index in `choices` (each 1 to 8 bytes) of the bytes from
+    `lo` to `hi` of the file whose `_words` are `words`, or -1."""
+    keys = words[np.minimum(lo, len(words) - 1)]
+    found = np.full(len(lo), -1, dtype=np.int8)
+    for i, choice in enumerate(choices):
+        mask = (1 << 8 * len(choice)) - 1
+        found[(hi - lo == len(choice)) & (keys & mask == int.from_bytes(choice, "little"))] = i
+    return found
+
+
+# Per kind code, the tokens after "node" of its canonical node line.
+_NODE_TOKENS = np.array([2, 2, 4, 5, 2])
+_KIND_WORDS = tuple(kind.encode() for kind in KINDS)
+_RELATION_WORDS = tuple(RELATION_TOKENS[relation].encode() for relation in Relation)
+
+
+def _canonical_nodes(buf: np.ndarray, words: np.ndarray, spaces: np.ndarray, rows: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray):
+    """The `rows` (lines from `lo` to `hi` in `buf`, each starting "node ";
+    `words` are the `_words` of `buf` and `spaces` the offsets of its spaces)
+    that read `node <id> sum|product|one`, `node <id> part <p> pos|neg` or
+    `node <id> spatial <a> <b> left|right|above|below`: single spaces, 1 to
+    MAX_DIGITS decimal digits a number, and a < b. Returns those rows, their
+    node ids and their NodeTable."""
+    # the space after "node" and the next four bound its tokens; a space
+    # past the line's end stands for the end
+    at = np.searchsorted(spaces, lo + 4)
+    n_tokens = np.searchsorted(spaces, hi) - at
+    cut = np.column_stack([np.minimum(spaces[at[:, None] + np.arange(5)], hi[:, None]), hi])
+
+    def token(k):
+        return cut[:, k] + 1, cut[:, k + 1]
+
+    kind = _which(words, *token(1), _KIND_WORDS)
+    numbers, number_ok = _number(buf, *map(np.concatenate, zip(token(0), token(2), token(3))))
+    (nid, a, b), (ok, a_ok, b_ok) = numbers.reshape(3, -1), number_ok.reshape(3, -1)
+    positive = _which(words, *token(3), (b"neg", b"pos"))
+    relation = _which(words, *token(4), _RELATION_WORDS)
+    is_part, is_pair = kind == CODE_PART, kind == CODE_SPATIAL
+    ok &= ((kind >= 0) & (n_tokens == _NODE_TOKENS[kind]) & (~is_part | (a_ok & (positive >= 0)))
+           & (~is_pair | (a_ok & b_ok & (relation >= 0) & (a < b))))
+    rows, nid, kind, a, b, positive, relation, is_part, is_pair = (
+        column[ok] for column in (rows, nid, kind, a, b, positive, relation, is_part, is_pair))
+    nodes = NodeTable(kind, np.where(is_part, a, -1), is_part & (positive == 1),
+                      np.where(is_pair[:, None], np.column_stack([a, b]), -1),
+                      np.where(is_pair, relation, -1))
+    return rows, nid, nodes
+
+
+def _canonical_edges(data: bytes, buf: np.ndarray, spaces: np.ndarray, rows: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray):
+    """The `rows` (lines from `lo` to `hi` in `buf`, the bytes of `data`,
+    each starting "edge "; `spaces` holds the offsets of their spaces) that
+    read `edge <parent> <child>` or `edge <parent> <child> <weight>`: single
+    spaces, 1 to MAX_DIGITS decimal digits an endpoint, and a weight `float`
+    reads as finite and >= 0. Returns those rows, their endpoints, weights
     (NaN where there is none) and weight mask."""
-    starts, ends = starts[first:last], ends[first:last]
-    rows = np.flatnonzero(ends - starts >= len("edge 0 0"))
-    lo = starts[rows]
-    prefix = np.ones(len(rows), dtype=bool)
-    for k, byte in enumerate(b"edge "):
-        prefix &= buf[lo + k] == byte
-    rows, lo = rows[prefix], lo[prefix]
-    hi = ends[rows]
     # the space after "edge" and the two after it
-    spaces = np.flatnonzero(buf[starts[0]:ends[-1]] == 32) + starts[0]
-    spaces = np.append(spaces, [len(buf)] * 2)
     after_edge = np.searchsorted(spaces, lo + 4)
     gap, weight_gap = spaces[after_edge + 1], spaces[after_edge + 2]
     weighted = weight_gap < hi
     child_end = np.where(weighted, weight_gap, hi)
-    ok = ((gap - lo - 5 >= 1) & (gap - lo - 5 <= MAX_ENDPOINT_DIGITS)
-          & (child_end - gap - 1 >= 1) & (child_end - gap - 1 <= MAX_ENDPOINT_DIGITS))
-    rows, lo, gap, child_end, hi, weighted = (
-        a[ok] for a in (rows, lo, gap, child_end, hi, weighted))
-    endpoints, bad = _digits(buf, np.concatenate([lo + 5, gap + 1]),
-                             np.concatenate([gap, child_end]))
-    parent, child = np.split(endpoints, 2)
-    ok = ~np.logical_or(*np.split(bad, 2))
+    endpoints, endpoint_ok = _number(buf, np.concatenate([lo + 5, gap + 1]),
+                                     np.concatenate([gap, child_end]))
+    (parent, child), (ok, child_ok) = endpoints.reshape(2, -1), endpoint_ok.reshape(2, -1)
+    ok &= child_ok
 
     # the weight is the rest of the line: `float` strips ASCII whitespace
     # from its ends and fails on any other byte that is not part of a
     # number, so it reads exactly what the line parser's one weight token is
     weight = np.full(len(rows), np.nan)
-    carry = np.flatnonzero(weighted)
+    carry = np.flatnonzero(ok & weighted)
     values = []
     for start, end in zip((child_end[carry] + 1).tolist(), hi[carry].tolist()):
         try:
@@ -988,7 +1122,7 @@ def _canonical_edges(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.
     weight[carry] = values
     with np.errstate(invalid="ignore"):
         ok[carry] &= np.isfinite(weight[carry]) & (weight[carry] >= 0)
-    return rows[ok] + first, parent[ok], child[ok], weight[ok], weighted[ok]
+    return rows[ok], parent[ok], child[ok], weight[ok], weighted[ok]
 
 
 def _decode(data: bytes) -> str:
@@ -1003,11 +1137,11 @@ def _decode(data: bytes) -> str:
 def deserialize(text: str | bytes) -> Network:
     """Parse a model file; errors carry the offending line number.
 
-    Canonical edge lines (see `_canonical_edges`) are read in one array pass
-    over the file's bytes and every other line by the line parser, in file
-    order. If a row of the pass does not stand where the line parser would
-    take it, or a line fails, the line parser reads the whole file and names
-    the first offending line."""
+    Canonical node and edge lines (see `_canonical_nodes` and
+    `_canonical_edges`) are read in one array pass over the file's bytes and
+    every other line by the line parser, in file order. If a row of the pass
+    does not stand where the line parser would take it, or a line fails, the
+    line parser reads the whole file and names the first offending line."""
     if isinstance(text, bytes):
         data, text = text, _decode(text)
     else:
@@ -1024,12 +1158,27 @@ def deserialize(text: str | bytes) -> Network:
     n_lines = len(ends)
     _check_header(data[:ends[0]].decode("utf-8", "surrogatepass") if n_lines else None)
 
-    blocks = [_canonical_edges(data, buf, starts, ends, first, first + EDGE_PASS_ROWS)
-              for first in range(0, n_lines, EDGE_PASS_ROWS)]
-    rows, parent, child, weight, weighted = map(np.concatenate, zip(*blocks))
+    words = _words(data)
+    node_blocks, edge_blocks = [], []
+    for first in range(0, n_lines, EDGE_PASS_ROWS):
+        last = min(first + EDGE_PASS_ROWS, n_lines)
+        # padded so that the fifth space after any line start has an offset
+        spaces = np.concatenate([np.flatnonzero(buf[starts[first]:ends[last - 1]] == 32)
+                                 + starts[first], [len(buf)] * 5])
+        # a line too short for its tag has its "\n" (or, ending the file,
+        # its last byte again) where the tag's space would be
+        tag = _which(words, starts[first:last], starts[first:last] + 5, (b"node ", b"edge "))
+        nodes, edges = (np.flatnonzero(tag == i) + first for i in (0, 1))
+        node_blocks.append(_canonical_nodes(buf, words, spaces, nodes, starts[nodes], ends[nodes]))
+        edge_blocks.append(_canonical_edges(data, buf, spaces, edges, starts[edges], ends[edges]))
+    node_rows, ids, tables = zip(*node_blocks)
+    node_rows, ids = np.concatenate(node_rows), np.concatenate(ids)
+    nodes = NodeTable(*map(np.concatenate, zip(*tables)))
+    edge_rows, parent, child, weight, weighted = map(np.concatenate, zip(*edge_blocks))
     line_rows = np.ones(n_lines, dtype=bool)
     line_rows[0] = False
-    line_rows[rows] = False
+    line_rows[node_rows] = False
+    line_rows[edge_rows] = False
     line_rows = np.flatnonzero(line_rows)
     parser = _LineParser()
     try:
@@ -1039,10 +1188,11 @@ def deserialize(text: str | bytes) -> Network:
             raw = text[lo:hi] if ascii_only else data[lo:hi].decode("utf-8", "surrogatepass")
             parser.read(row + 1, raw)
     except ModelFormatError:
-        parser = None
-    if parser is None or not parser.admits(rows + 1, parent, child, weighted):
         return _parse_lines(text)
-    return parser.network(n_lines, rows + 1, parent, child, weight)
+    nodes = parser.admit(node_rows + 1, ids, nodes, edge_rows + 1, parent, child, weighted)
+    if nodes is None:
+        return _parse_lines(text)
+    return parser.network(n_lines, nodes, edge_rows + 1, parent, child, weight)
 
 
 def save_network(network: Network, path) -> None:

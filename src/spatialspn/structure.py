@@ -28,7 +28,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractViolationError, InsufficientDataError
-from .network import ONE, PART, PRODUCT, ROW_BLOCK_ELEMENTS, SPATIAL, SUM, Network, NetworkBuilder, validate
+from .network import (CODE_PRODUCT, CODE_SPATIAL, CODE_SUM, ONE, PART, PRODUCT, ROW_BLOCK_ELEMENTS,
+                      SPATIAL, SUM, Network, NetworkBuilder, pair_column, validate)
 from .spatial import Relation, add_gadget
 
 log = logging.getLogger(__name__)
@@ -724,18 +725,18 @@ def count_gadgets(network: Network) -> int:
     children, each a product with exactly one spatial child, all of one
     pair."""
     n, parent, child = network.num_nodes, network.edge_parent, network.edge_child
-    kinds = np.array([nd.kind for nd in network.nodes])
-    pair_ids: dict[tuple[int, int], int] = {}
-    pair = np.array([pair_ids.setdefault(nd.pair, len(pair_ids)) if nd.kind == SPATIAL else -1
-                     for nd in network.nodes], dtype=np.int64)
-    to_spatial = kinds[child] == SPATIAL
+    kinds = network.node_kind
+    # a pair named by its first evidence column, distinct per canonical pair
+    pair = np.where(kinds == CODE_SPATIAL,
+                    pair_column(network.node_pair[:, 0], network.node_pair[:, 1]), -1)
+    to_spatial = kinds[child] == CODE_SPATIAL
     # a product's spatial child count, and the pair of its spatial child
     # (the one that counts where there is exactly one)
-    single = (kinds == PRODUCT) & (np.bincount(parent[to_spatial], minlength=n) == 1)
+    single = (kinds == CODE_PRODUCT) & (np.bincount(parent[to_spatial], minlength=n) == 1)
     product_pair = np.full(n, -1, dtype=np.int64)
     product_pair[parent[to_spatial]] = pair[child[to_spatial]]
     fanout = np.diff(network._cs_start)
-    sums = np.flatnonzero((kinds == SUM) & (fanout == 4))
+    sums = np.flatnonzero((kinds == CODE_SUM) & (fanout == 4))
     kids = network._cs_child[network._cs_start[sums][:, None] + np.arange(4)]
     same_pair = (product_pair[kids] == product_pair[kids[:, :1]]).all(axis=1)
     return int((single[kids].all(axis=1) & same_pair).sum())

@@ -787,6 +787,27 @@ def test_class_file_errors_name_the_file(tmp_path, old, new, line_no, message):
     assert cli.main(["inspect", str(tmp_path)]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("old, new, message", [
+    (b"node 2 part 0 neg\n", b"node 2 part 0 neg\nnode 3 one\n",
+     "reachability: node 3 unreachable from root"),
+    (b"node 0 sum\nnode 1 part 0 pos\nnode 2 part 0 neg\nedge 0 1 0.29999999999999999\n"
+     b"edge 0 2 0.69999999999999996\n",
+     b"node 0 product\nnode 1 part 0 pos\nnode 2 part 0 neg\nedge 0 1\nedge 0 2\n",
+     "decomposability: product node 0 has children with overlapping scopes"),
+], ids=["unreachable-node", "overlapping-product"])
+def test_load_bundle_rejects_an_invalid_class_network(tmp_path, old, new, message):
+    write_tied_bundle(tmp_path, "")
+    path = tmp_path / "b.spn"
+    text = path.read_bytes()
+    assert old in text
+    path.write_bytes(text.replace(old, new))
+    with pytest.raises(ModelFormatError) as info:
+        load_bundle(tmp_path)
+    assert info.value.line_no == 6  # the manifest's `class b b.spn` line
+    assert info.value.message == f"class file 'b.spn' is not a valid network: {message}"
+    assert cli.main(["inspect", str(tmp_path)]) == cli.EXIT_INPUT
+
+
 def test_classify_rejects_unknown_parts():
     ds = generate_synthetic(mirror_pair_spec(images_per_class=20), np.random.default_rng(0))
     sc = StructureConfig(seed=0, s=2, D=1)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spatialspn.network as network_module
 from spatialspn.data import (
@@ -47,7 +49,8 @@ from spatialspn.oracle import (
     reference_network,
 )
 
-from spatialspn.learning import TrainConfig, train_all
+from spatialspn.learning import TrainConfig, load_bundle, save_bundle, train_all
+from spatialspn.metrics import evaluate_bundle
 from spatialspn.spatial import RELATION_TOKENS, TOKEN_RELATIONS, Relation, compute_relations
 from spatialspn.structure import (
     StructureConfig,
@@ -762,9 +765,11 @@ def test_topological_order_is_children_first_by_level_then_id(rng):
     [(0, 0), (0, 3)],                  # self-loop at the root
     [(0, 1), (1, 2), (2, 0), (2, 3)],  # 3-cycle through the root
     [(0, 1), (1, 2), (2, 1), (2, 3)],  # cycle below the root
+    [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)],  # cycle above a chain
 ])
 def test_cycles_raise_cycle_error(edges):
-    nodes = [Node("product")] * 3 + [Node("part", part=0, positive=True)]
+    n = max(max(edge) for edge in edges) + 1
+    nodes = [Node("product")] * (n - 1) + [Node("part", part=0, positive=True)]
     net = Network(nodes, [p for p, _ in edges], [c for _, c in edges], [math.nan] * len(edges), 0)
     with pytest.raises(CycleError):
         net.topological_order()
@@ -893,6 +898,8 @@ def _ref_part_id(token, line_no):
     part = _ref_int(token, line_no, "part id")
     if part < 0:
         raise ModelFormatError(line_no, f"part id must be >= 0, got {part}")
+    if part > 2 ** 31 - 1:
+        raise ModelFormatError(line_no, f"part id must be <= {2 ** 31 - 1}, got {part}")
     return part
 
 
@@ -906,8 +913,9 @@ def _ref_rect(tokens, line_no):
 
 
 def reference_deserialize(text):
-    """The line-by-line parser the bulk load replaces, with one change: an
-    out-of-range root or shared edge id names its own line."""
+    """The line-by-line parser the bulk load replaces, with two changes: an
+    out-of-range root or shared edge id names its own line, and a part id
+    must fit the node arrays (at most 2**31 - 1)."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     lines = text.splitlines()
@@ -1031,9 +1039,15 @@ def reference_deserialize(text):
     )
 
 
+NODE_ARRAYS = ("node_kind", "node_part", "node_positive", "node_pair", "node_relation")
+
+
 def assert_same_network(got, want):
     assert got.nodes == want.nodes
     assert got.root == want.root and got.class_label == want.class_label
+    for name in NODE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
     for name in ("edge_parent", "edge_child", "edge_weight"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -1077,7 +1091,15 @@ def test_bulk_load_matches_line_parser(rng, monkeypatch, block):
     def whole_file(text):
         raise AssertionError("a valid file in serialize's layout fell back to the line parser")
 
+    line_read = network_module._LineParser.read
+
+    def read(parser, line_no, raw):
+        if raw.startswith("node "):
+            raise AssertionError(f"canonical node line {line_no} reached the line parser")
+        line_read(parser, line_no, raw)
+
     monkeypatch.setattr(network_module, "_parse_lines", whole_file)
+    monkeypatch.setattr(network_module._LineParser, "read", read)
     for net in nets:
         text = reference_serialize(net)
         assert serialize(net) == text
@@ -1085,6 +1107,45 @@ def test_bulk_load_matches_line_parser(rng, monkeypatch, block):
         assert_same_network(deserialize(text), want)
         assert_same_network(deserialize(text.encode()), want)
         assert serialize(deserialize(text)) == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), max_parts=st.integers(1, 6),
+       max_pairs=st.integers(0, 3), mark=st.booleans())
+def test_deserialize_inverts_serialize(seed, max_parts, max_pairs, mark):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_parts=max_parts, max_pairs=max_pairs)
+    if mark:
+        net = marked(net, rng, f"c{seed % 5}")
+    assert_same_network(deserialize(serialize(net)), net)
+
+
+def test_loading_and_scoring_a_bundle_builds_no_node(tmp_path, monkeypatch):
+    ds = generate_synthetic(strip_grid_spec(n_strips=3, parts_per_strip=6, images_per_class=12),
+                            np.random.default_rng(3))
+    bundle = train_all(ds, StructureConfig(seed=0), TrainConfig(
+        seed=0, mode="fs-spn", generative_epochs=2, discriminative_epochs=1,
+        max_pairs_per_epoch=50))
+    save_bundle(bundle, tmp_path)
+    want = evaluate_bundle(bundle, ds)
+    built = []
+    node_init, parse_node = Node.__init__, network_module._parse_node
+
+    def counted_init(node, *args, **kwargs):
+        built.append(args)
+        node_init(node, *args, **kwargs)
+
+    def counted_parse(*args):
+        built.append(args)
+        return parse_node(*args)
+
+    monkeypatch.setattr(Node, "__init__", counted_init)
+    monkeypatch.setattr(network_module, "_parse_node", counted_parse)
+    got = evaluate_bundle(load_bundle(tmp_path), ds)
+    assert built == []
+    assert got == want
+    Node("sum")  # the count does see a Node built
+    assert len(built) == 1
 
 
 def corrupt(lines, rng, n_nodes):
@@ -1161,6 +1222,93 @@ def test_bulk_load_keeps_the_line_parsers_errors(monkeypatch, block):
             assert_same_network(deserialize(text), want)
             outcomes["loaded"] += 1
     assert len(kinds) == 11
+    assert min(outcomes.values()) > 50, outcomes
+
+
+NODE_CORRUPTIONS = ("lefty", "Left", "no relation", "posx", "neg ", "spatial 3 3", "spatial 4 2",
+                    "-1", "007", "+3", "\u0663", "duplicate id", "id gap", "ids out of order",
+                    "node after an edge")
+
+
+def corrupt_node_line(lines, rng):
+    """One seeded corruption of a model file's node lines (the file holds
+    part and spatial nodes), with node-specific tokens; returns the new
+    lines and the name of the corruption."""
+    lines = list(lines)
+    nodes = [i for i, line in enumerate(lines) if line.startswith("node ")]
+    kind = str(rng.choice(NODE_CORRUPTIONS))
+
+    def pick(*kinds):
+        return int(rng.choice([i for i in nodes if lines[i].split(" ")[2] in kinds]))
+
+    if kind in ("lefty", "Left", "no relation"):
+        i = pick("spatial")
+        tokens = lines[i].split(" ")
+        tokens[5] = "" if kind == "no relation" else kind
+    elif kind in ("posx", "neg "):
+        i = pick("part")
+        tokens = lines[i].split(" ")
+        tokens[4] = kind
+    elif kind.startswith("spatial "):
+        i = pick("spatial")
+        tokens = lines[i].split(" ")
+        tokens[3:5] = kind.split(" ")[1:]
+    elif kind in ("-1", "007", "+3", "\u0663"):
+        i = pick("part", "spatial")
+        tokens = lines[i].split(" ")
+        tokens[3 if tokens[2] == "part" else int(rng.integers(3, 5))] = kind
+    elif kind == "duplicate id":
+        i, j = (int(k) for k in rng.choice(nodes, size=2, replace=False))
+        tokens = lines[i].split(" ")
+        tokens[1] = lines[j].split(" ")[1]
+    elif kind == "id gap":
+        i = int(rng.choice(nodes))
+        tokens = lines[i].split(" ")
+        tokens[1] = str(len(nodes) + int(rng.integers(0, 3)))
+    elif kind == "ids out of order":
+        i, j = (int(k) for k in rng.choice(nodes, size=2, replace=False))
+        lines[i], lines[j] = lines[j], lines[i]
+        return lines, kind
+    else:  # a node line moved below the first edge line
+        first_edge = next(k for k, line in enumerate(lines) if line.startswith("edge "))
+        at = int(rng.integers(first_edge + 1, len(lines) + 1))
+        i = int(rng.choice(nodes))
+        lines.insert(at, lines[i])
+        del lines[i]
+        return lines, kind
+    lines[i] = " ".join(tokens)
+    return lines, kind
+
+
+@pytest.mark.parametrize("block", [None, 32], ids=["one-block", "32-line-blocks"])
+def test_bulk_load_keeps_the_line_parsers_node_errors(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(network_module, "EDGE_PASS_ROWS", block)
+    rng = np.random.default_rng(2025)
+    candidates = [marked(random_network(rng, max_parts=5, max_pairs=2), rng, "r") for _ in range(8)]
+    bases = [net for net in candidates if net.pair_universe][:3]
+    bases += [net for net, _ in preset_networks()[:3]]
+    assert len(bases) == 6
+    outcomes = {"loaded": 0, "raised": 0}
+    kinds = set()
+    for case in range(600):
+        net = bases[case % len(bases)]
+        lines, kind = corrupt_node_line(serialize(net).splitlines(), rng)
+        if case >= 480:  # a second corruption: the first error must win across lanes
+            lines, kind = corrupt_node_line(lines, rng)
+        text = "\n".join(lines) + "\n"
+        kinds.add(kind)
+        try:
+            want = reference_deserialize(text)
+        except ModelFormatError as expected:
+            with pytest.raises(ModelFormatError) as info:
+                deserialize(text)
+            assert (info.value.line_no, str(info.value)) == (expected.line_no, str(expected)), kind
+            outcomes["raised"] += 1
+        else:
+            assert_same_network(deserialize(text), want)
+            outcomes["loaded"] += 1
+    assert len(kinds) == len(NODE_CORRUPTIONS)
     assert min(outcomes.values()) > 50, outcomes
 
 
